@@ -16,8 +16,9 @@
 # scratch buffer with precomputed offsets — exactly the kind of code where
 # an off-by-one region size becomes an out-of-bounds write. kernels_f32_test
 # joins for the reduced-precision tier (f32 packing caches + tile scratch
-# share the f64 tier's buffer-reuse idioms), and f64_golden_test keeps the
-# double-precision goldens honest under instrumentation.
+# share the f64 tier's buffer-reuse idioms), and f64_golden_test and
+# reduced_golden_test keep the f64 and f32/bf16 goldens honest under
+# instrumentation.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,7 +28,8 @@ cmake --build build-asan -j "$(nproc)" \
   --target autograd_test tape_test nn_test optimizer_test serialize_test \
   baselines_test baseline_gradcheck_test chainnet_test \
   chainnet_gradcheck_test chainnet_inference_test chainnet_batch_test \
-  kernels_test kernels_f32_test f64_golden_test graph_workspace_test \
+  kernels_test kernels_f32_test f64_golden_test reduced_golden_test \
+  graph_workspace_test \
   plan_test trainer_test \
   invariance_test json_test serve_protocol_test serve_loopback_test \
   consistent_hash_test registry_test router_test search_test \
@@ -39,7 +41,7 @@ cmake --build build-asan -j "$(nproc)" \
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-asan \
-  -R '(autograd|tape|nn|optimizer|serialize|baselines|baseline_gradcheck|chainnet|chainnet_gradcheck|chainnet_inference|chainnet_batch|kernels|kernels_f32|f64_golden|graph_workspace|plan|trainer|invariance|json|serve_protocol|serve_loopback|consistent_hash|registry|router|search|lint)_test' \
+  -R '(autograd|tape|nn|optimizer|serialize|baselines|baseline_gradcheck|chainnet|chainnet_gradcheck|chainnet_inference|chainnet_batch|kernels|kernels_f32|f64_golden|reduced_golden|graph_workspace|plan|trainer|invariance|json|serve_protocol|serve_loopback|consistent_hash|registry|router|search|lint)_test' \
   --output-on-failure "$@"
 
 echo "ASan+UBSan check passed."

@@ -18,9 +18,10 @@
 # read-only plan must stay race-free across pool workers. search_test runs
 # the population optimizers, whose every step fans a width-K batch across
 # the pool while the driver thread owns all the RNG state. kernels_f32_test
-# and f64_golden_test join because the reduced-precision tier adds its own
-# thread-local tile scratch and once-per-process ISA/dtype resolution —
-# the same publication patterns TSan is here to police.
+# and the two golden suites (f64_golden_test, reduced_golden_test) join
+# because the reduced-precision tier adds its own thread-local tile scratch
+# and once-per-process ISA/dtype resolution — the same publication patterns
+# TSan is here to police.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +31,7 @@ cmake --build build-tsan -j "$(nproc)" \
   --target thread_pool_test eval_cache_test parallel_anneal_test \
   chainnet_batch_test serve_metrics_test serve_loopback_test \
   registry_test plan_test router_test search_test \
-  kernels_f32_test f64_golden_test \
+  kernels_f32_test f64_golden_test reduced_golden_test \
   chainnet_lint lint_test
 
 # chainnet_lint is single-threaded, but running lint_test here keeps the
@@ -38,7 +39,7 @@ cmake --build build-tsan -j "$(nproc)" \
 # the locks they reason about.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan \
-  -R '(thread_pool|eval_cache|parallel_anneal|chainnet_batch|serve_metrics|serve_loopback|registry|plan|search|kernels_f32|f64_golden|lint)_test|^router_test$' \
+  -R '(thread_pool|eval_cache|parallel_anneal|chainnet_batch|serve_metrics|serve_loopback|registry|plan|search|kernels_f32|f64_golden|reduced_golden|lint)_test|^router_test$' \
   --output-on-failure "$@"
 
 echo "TSan check passed."

@@ -1,8 +1,10 @@
 #include "serve/protocol.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <cerrno>
 #include <cstring>
@@ -64,6 +66,18 @@ void set_low_latency(int fd) noexcept {
   const int one = 1;
   // Fails with ENOTSUP/EOPNOTSUPP on non-TCP sockets; deliberately ignored.
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+void set_blocking_with_send_timeout(int fd) noexcept {
+  // Accepted sockets inherit O_NONBLOCK from the listener on the BSDs
+  // (not on Linux); the readers want plain blocking I/O either way.
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0 && (flags & O_NONBLOCK) != 0) {
+    ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
+  }
+  const timeval timeout{
+      static_cast<time_t>(kClientSendTimeout.count()), 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 }
 
 std::string_view error_code_name(ErrorCode code) noexcept {

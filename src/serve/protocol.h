@@ -17,6 +17,7 @@
 //   {"ok":false,"error":{"code":"overloaded","message":"..."}}
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -68,6 +69,17 @@ enum class FrameStatus {
 /// request/response frames are not held back waiting for ACKs. A no-op on
 /// non-TCP sockets (e.g. the socketpairs tests use).
 void set_low_latency(int fd) noexcept;
+
+/// Bound on how long a write to an accepted client socket may block on a
+/// peer that stopped reading, so a stalled client cannot hang a graceful
+/// Server::stop() or Router::stop().
+inline constexpr std::chrono::seconds kClientSendTimeout{5};
+
+/// Prepares an accepted client socket: plain blocking I/O, with each send
+/// call bounded by kClientSendTimeout (SO_SNDTIMEO). write_frame fails once
+/// a send makes no progress within the timeout, like a vanished peer, so
+/// the connection's reader exits.
+void set_blocking_with_send_timeout(int fd) noexcept;
 
 /// Writes one frame; loops over partial writes. Returns false when the
 /// peer is gone (EPIPE/ECONNRESET — never raises SIGPIPE).

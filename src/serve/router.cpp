@@ -212,7 +212,9 @@ void Router::stop() {
 
   // Half-close client sockets so idle readers see EOF at once. A reader
   // blocked on an upstream round trip finishes within the upstream
-  // recv/send timeouts — stop() is graceful, not instantaneous. The lock
+  // recv/send timeouts, and one blocked writing to a client that stopped
+  // reading within two kClientSendTimeout periods — stop() is graceful,
+  // not instantaneous. The lock
   // covers only taking ownership of the list; the shutdowns, joins, and
   // closes run outside it so stop() never blocks with conn_mutex_ held.
   std::vector<std::unique_ptr<Connection>> doomed;
@@ -251,6 +253,7 @@ void Router::accept_loop() {
       auto conn = std::make_unique<Connection>();
       conn->fd = fd;
       conn->metrics = which == 2;
+      set_blocking_with_send_timeout(fd);
       Connection* raw = conn.get();
       std::lock_guard<std::mutex> lock(conn_mutex_);
       reap_finished_connections();

@@ -115,7 +115,10 @@ class Router {
   bool wait_for(std::chrono::milliseconds timeout);
 
   /// Stops accepting, joins every thread, closes every socket. Idempotent.
-  /// Backends are left running — the router does not own them.
+  /// Backends are left running — the router does not own them. A client
+  /// that stopped reading its responses delays stop() by at most two
+  /// kClientSendTimeout periods (serve/protocol.h): the write in flight
+  /// returns short at its timeout, and the next write fails at its own.
   void stop();
 
   const RouterMetrics& metrics() const noexcept { return metrics_; }

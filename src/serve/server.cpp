@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -78,21 +77,6 @@ namespace {
 /// clock's integer rep overflows for huge values, and anything beyond an
 /// hour is indistinguishable from "no deadline" for a microbatched eval.
 constexpr double kMaxDeadlineMs = 3600.0 * 1000.0;
-
-/// Bound on how long a response write may block on a peer that stopped
-/// reading, so a stalled client cannot hang graceful shutdown.
-constexpr timeval kSendTimeout{5, 0};
-
-void set_blocking_with_send_timeout(int fd) noexcept {
-  // Accepted sockets inherit O_NONBLOCK from the listener on the BSDs
-  // (not on Linux); the readers want plain blocking I/O either way.
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0 && (flags & O_NONBLOCK) != 0) {
-    ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-  }
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
-               sizeof(kSendTimeout));
-}
 
 }  // namespace
 
@@ -230,8 +214,8 @@ void Server::stop() {
   //    EOF immediately, while one still writing a drained response gets to
   //    finish the write before its next read returns 0. A peer that stopped
   //    reading (zero TCP window) cannot stall the join indefinitely: every
-  //    connection socket carries SO_SNDTIMEO, so the blocked send errors
-  //    out within kSendTimeout and the reader exits.
+  //    connection socket carries SO_SNDTIMEO, so the blocked write fails
+  //    within two kClientSendTimeout periods and the reader exits.
   //    The lock covers only taking ownership of the list; the shutdowns,
   //    joins, and closes run outside it so stop() never blocks with
   //    conn_mutex_ held.

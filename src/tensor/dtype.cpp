@@ -16,4 +16,18 @@ DType dtype_from_env(DType fallback) {
   return d;
 }
 
+void convert_to_f32(std::span<const double> src, std::vector<float>& dst,
+                    DType storage) {
+  dst.resize(src.size());
+  if (storage == DType::kBf16) {
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      dst[i] = bf16_round(static_cast<float>(src[i]));
+    }
+  } else {
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      dst[i] = static_cast<float>(src[i]);
+    }
+  }
+}
+
 }  // namespace chainnet::tensor

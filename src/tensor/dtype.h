@@ -18,8 +18,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace chainnet::tensor {
 
@@ -97,5 +99,11 @@ inline float bf16_round(float v) {
   std::memcpy(&out, &bits, sizeof(out));
   return out;
 }
+
+/// Converts f64 master weights to the f32 tier into `dst` (resized to
+/// match): bf16-rounded when `storage` is kBf16, otherwise the plain
+/// round-to-nearest double->float narrowing.
+void convert_to_f32(std::span<const double> src, std::vector<float>& dst,
+                    DType storage);
 
 }  // namespace chainnet::tensor

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/kernels.h"
 
@@ -83,16 +84,6 @@ Var Linear::forward(const Var& x) const { return add(matvec(w_, x), b_); }
 
 namespace {
 
-/// out = W x + b over raw buffers (W row-major [rows x cols]). Dispatches
-/// to the blocked kernel; bit-identical to the former single-accumulator
-/// loop (same per-row accumulation order).
-void raw_affine(std::span<const double> w, std::span<const double> b,
-                std::span<const double> x, std::span<double> out,
-                std::size_t rows, std::size_t cols) {
-  kernels::gemv(w.data(), b.empty() ? nullptr : b.data(), x.data(),
-                out.data(), rows, cols);
-}
-
 /// The pre-fusion affine loop, kept verbatim for forward_values_reference.
 void raw_affine_naive(std::span<const double> w, std::span<const double> b,
                       std::span<const double> x, std::span<double> out,
@@ -101,41 +92,23 @@ void raw_affine_naive(std::span<const double> w, std::span<const double> b,
                       out.data(), rows, cols);
 }
 
-inline double sigmoid_value(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+template <typename T>
+T sigmoid_value(T x) {
+  return T(1) / (T(1) + std::exp(-x));
+}
 
-inline float sigmoid_value(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-/// Converts a double parameter buffer to the f32 tier in place of `dst`
-/// (bf16-rounded when requested). Plain narrowing cast for kF32: the
-/// round-to-nearest double->float conversion is the tier's pack step.
-void convert_to_f32(std::span<const double> src, std::vector<float>& dst,
-                    DType storage) {
-  dst.resize(src.size());
-  if (storage == DType::kBf16) {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = bf16_round(static_cast<float>(src[i]));
-    }
+/// The scratch buffer of element type T: `wide` for double, `narrow` for
+/// float.
+template <typename T>
+std::vector<T>& tier(std::vector<double>& wide, std::vector<float>& narrow) {
+  if constexpr (std::is_same_v<T, double>) {
+    return wide;
   } else {
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      dst[i] = static_cast<float>(src[i]);
-    }
+    return narrow;
   }
 }
 
 }  // namespace
-
-void Linear::forward_values(std::span<const double> x,
-                            std::span<double> out) const {
-  if (x.size() != in_ || out.size() != out_) {
-    throw std::invalid_argument("Linear::forward_values: size mismatch");
-  }
-  raw_affine(w_.value(), b_.value(), x, out, out_, in_);
-}
-
-void Linear::forward_values_batch(const double* x, double* out,
-                                  std::size_t n) const {
-  kernels::gemm(w_.value().data(), b_.value().data(), x, out, out_, in_, n);
-}
 
 void Linear::ensure_f32(DType storage) const {
   const std::uint64_t wv = w_.node().version;
@@ -151,28 +124,51 @@ void Linear::ensure_f32(DType storage) const {
   f32_ready_ = true;
 }
 
-void Linear::forward_values(std::span<const float> x, std::span<float> out,
+template <typename T>
+std::array<const T*, 2> Linear::weights(DType storage) const {
+  if constexpr (std::is_same_v<T, double>) {
+    return {w_.value().data(), b_.value().data()};
+  } else {
+    ensure_f32(storage);
+    return {w_f32_.data(), b_f32_.data()};
+  }
+}
+
+template <typename T>
+void Linear::forward_values(std::span<const T> x, std::span<T> out,
                             DType storage) const {
   if (x.size() != in_ || out.size() != out_) {
     throw std::invalid_argument("Linear::forward_values: size mismatch");
   }
-  ensure_f32(storage);
-  kernels::gemv(w_f32_.data(), b_f32_.data(), x.data(), out.data(), out_,
-                in_);
+  const auto [w, b] = weights<T>(storage);
+  kernels::gemv(w, b, x.data(), out.data(), out_, in_);
 }
 
-void Linear::forward_values_batch(const float* x, float* out, std::size_t n,
+template <typename T>
+void Linear::forward_values_batch(const T* x, T* out, std::size_t n,
                                   DType storage) const {
-  ensure_f32(storage);
-  kernels::gemm(w_f32_.data(), b_f32_.data(), x, out, out_, in_, n);
+  const auto [w, b] = weights<T>(storage);
+  kernels::gemm(w, b, x, out, out_, in_, n);
 }
 
-void apply_activation_values(std::span<double> x, Activation act) {
+template void Linear::forward_values(std::span<const double>,
+                                     std::span<double>, DType) const;
+template void Linear::forward_values(std::span<const float>,
+                                     std::span<float>, DType) const;
+template void Linear::forward_values_batch(const double*, double*,
+                                           std::size_t, DType) const;
+template void Linear::forward_values_batch(const float*, float*, std::size_t,
+                                           DType) const;
+
+namespace {
+
+template <typename T>
+void activate(std::span<T> x, Activation act) {
   switch (act) {
     case Activation::kNone:
       return;
     case Activation::kRelu:
-      for (auto& v : x) v = v > 0.0 ? v : 0.0;
+      for (auto& v : x) v = v > T(0) ? v : T(0);
       return;
     case Activation::kTanh:
       for (auto& v : x) v = std::tanh(v);
@@ -181,40 +177,25 @@ void apply_activation_values(std::span<double> x, Activation act) {
       for (auto& v : x) v = sigmoid_value(v);
       return;
     case Activation::kLeakyRelu:
-      for (auto& v : x) v = v > 0.0 ? v : 0.01 * v;
+      for (auto& v : x) v = v > T(0) ? v : T(0.01) * v;
       return;
     case Activation::kSoftplus:
       for (auto& v : x) {
-        v = std::max(v, 0.0) + std::log1p(std::exp(-std::abs(v)));
+        v = std::max(v, T(0)) + std::log1p(std::exp(-std::abs(v)));
       }
       return;
   }
   throw std::logic_error("apply_activation_values: unknown activation");
+}
+
+}  // namespace
+
+void apply_activation_values(std::span<double> x, Activation act) {
+  activate(x, act);
 }
 
 void apply_activation_values(std::span<float> x, Activation act) {
-  switch (act) {
-    case Activation::kNone:
-      return;
-    case Activation::kRelu:
-      for (auto& v : x) v = v > 0.0f ? v : 0.0f;
-      return;
-    case Activation::kTanh:
-      for (auto& v : x) v = std::tanh(v);
-      return;
-    case Activation::kSigmoid:
-      for (auto& v : x) v = sigmoid_value(v);
-      return;
-    case Activation::kLeakyRelu:
-      for (auto& v : x) v = v > 0.0f ? v : 0.01f * v;
-      return;
-    case Activation::kSoftplus:
-      for (auto& v : x) {
-        v = std::max(v, 0.0f) + std::log1p(std::exp(-std::abs(v)));
-      }
-      return;
-  }
-  throw std::logic_error("apply_activation_values: unknown activation");
+  activate(x, act);
 }
 
 // ------------------------------------------------------------------ Mlp
@@ -265,63 +246,50 @@ void Mlp::forward_values(std::span<const double> x,
   forward_values(x, out, scratch);
 }
 
-void Mlp::forward_values(std::span<const double> x, std::span<double> out,
-                         Scratch& s) const {
-  s.a.assign(x.begin(), x.end());
+template <typename T>
+void Mlp::forward_values(std::span<const T> x, std::span<T> out, Scratch& s,
+                         DType storage) const {
+  auto& a = tier<T>(s.a, s.a_f);
+  auto& b = tier<T>(s.b, s.b_f);
+  a.assign(x.begin(), x.end());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b.resize(layers_[l]->out_features());
-    layers_[l]->forward_values(s.a, s.b);
-    apply_activation_values(
-        s.b, l + 1 == layers_.size() ? output_ : hidden_);
-    s.a.swap(s.b);
-  }
-  if (out.size() != s.a.size()) {
-    throw std::invalid_argument("Mlp::forward_values: bad output size");
-  }
-  std::copy(s.a.begin(), s.a.end(), out.begin());
-}
-
-void Mlp::forward_values_batch(const double* x, double* out, std::size_t n,
-                               Scratch& s) const {
-  s.a.assign(x, x + layers_.front()->in_features() * n);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b.resize(layers_[l]->out_features() * n);
-    layers_[l]->forward_values_batch(s.a.data(), s.b.data(), n);
-    apply_activation_values(s.b, l + 1 == layers_.size() ? output_ : hidden_);
-    s.a.swap(s.b);
-  }
-  std::copy(s.a.begin(), s.a.end(), out);
-}
-
-void Mlp::forward_values(std::span<const float> x, std::span<float> out,
-                         Scratch& s, DType storage) const {
-  s.a_f.assign(x.begin(), x.end());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b_f.resize(layers_[l]->out_features());
-    layers_[l]->forward_values(s.a_f, s.b_f, storage);
-    apply_activation_values(
-        std::span<float>(s.b_f),
-        l + 1 == layers_.size() ? output_ : hidden_);
-    s.a_f.swap(s.b_f);
-  }
-  if (out.size() != s.a_f.size()) {
-    throw std::invalid_argument("Mlp::forward_values: bad output size");
-  }
-  std::copy(s.a_f.begin(), s.a_f.end(), out.begin());
-}
-
-void Mlp::forward_values_batch(const float* x, float* out, std::size_t n,
-                               Scratch& s, DType storage) const {
-  s.a_f.assign(x, x + layers_.front()->in_features() * n);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    s.b_f.resize(layers_[l]->out_features() * n);
-    layers_[l]->forward_values_batch(s.a_f.data(), s.b_f.data(), n, storage);
-    apply_activation_values(std::span<float>(s.b_f),
+    b.resize(layers_[l]->out_features());
+    layers_[l]->forward_values(std::span<const T>(a), std::span<T>(b),
+                               storage);
+    apply_activation_values(std::span<T>(b),
                             l + 1 == layers_.size() ? output_ : hidden_);
-    s.a_f.swap(s.b_f);
+    a.swap(b);
   }
-  std::copy(s.a_f.begin(), s.a_f.end(), out);
+  if (out.size() != a.size()) {
+    throw std::invalid_argument("Mlp::forward_values: bad output size");
+  }
+  std::copy(a.begin(), a.end(), out.begin());
 }
+
+template <typename T>
+void Mlp::forward_values_batch(const T* x, T* out, std::size_t n, Scratch& s,
+                               DType storage) const {
+  auto& a = tier<T>(s.a, s.a_f);
+  auto& b = tier<T>(s.b, s.b_f);
+  a.assign(x, x + layers_.front()->in_features() * n);
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    b.resize(layers_[l]->out_features() * n);
+    layers_[l]->forward_values_batch(a.data(), b.data(), n, storage);
+    apply_activation_values(std::span<T>(b),
+                            l + 1 == layers_.size() ? output_ : hidden_);
+    a.swap(b);
+  }
+  std::copy(a.begin(), a.end(), out);
+}
+
+template void Mlp::forward_values(std::span<const double>, std::span<double>,
+                                  Scratch&, DType) const;
+template void Mlp::forward_values(std::span<const float>, std::span<float>,
+                                  Scratch&, DType) const;
+template void Mlp::forward_values_batch(const double*, double*, std::size_t,
+                                        Scratch&, DType) const;
+template void Mlp::forward_values_batch(const float*, float*, std::size_t,
+                                        Scratch&, DType) const;
 
 // -------------------------------------------------------------- GruCell
 
@@ -422,28 +390,42 @@ void GruCell::ensure_packed_f32(DType storage) const {
   packed_f32_ = true;
 }
 
-void GruCell::forward_values(std::span<const double> h,
-                             std::span<const double> x,
-                             std::span<double> h_out, Scratch& s) const {
+template <typename T>
+std::array<const T*, 4> GruCell::packs(DType storage) const {
+  if constexpr (std::is_same_v<T, double>) {
+    ensure_packed();
+    return {wi_pack_.data(), wh_pack_.data(), bi_pack_.data(),
+            bh_pack_.data()};
+  } else {
+    ensure_packed_f32(storage);
+    return {wi_pack_f32_.data(), wh_pack_f32_.data(), bi_pack_f32_.data(),
+            bh_pack_f32_.data()};
+  }
+}
+
+template <typename T>
+void GruCell::forward_values(std::span<const T> h, std::span<const T> x,
+                             std::span<T> h_out, Scratch& s,
+                             DType storage) const {
   if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
     throw std::invalid_argument("GruCell::forward_values: size mismatch");
   }
-  ensure_packed();
+  const auto [wi, wh, bi, bh] = packs<T>(storage);
   const std::size_t H = hidden_;
   // Stacked gate pre-activations: gi = Wi x + bi, gh = Wh h + bh, rows in
   // gate order [r; z; n]. Every element is fully overwritten, so resize
   // (keeping capacity) suffices.
-  s.gi.resize(3 * H);
-  s.gh.resize(3 * H);
-  kernels::gemv(wi_pack_.data(), bi_pack_.data(), x.data(), s.gi.data(),
-                3 * H, input_);
-  kernels::gemv(wh_pack_.data(), bh_pack_.data(), h.data(), s.gh.data(),
-                3 * H, hidden_);
+  auto& gi = tier<T>(s.gi, s.gi_f);
+  auto& gh = tier<T>(s.gh, s.gh_f);
+  gi.resize(3 * H);
+  gh.resize(3 * H);
+  kernels::gemv(wi, bi, x.data(), gi.data(), 3 * H, input_);
+  kernels::gemv(wh, bh, h.data(), gh.data(), 3 * H, hidden_);
   for (std::size_t i = 0; i < H; ++i) {
-    const double r = sigmoid_value(s.gi[i] + s.gh[i]);
-    const double z = sigmoid_value(s.gi[H + i] + s.gh[H + i]);
-    const double n = std::tanh(s.gi[2 * H + i] + r * s.gh[2 * H + i]);
-    h_out[i] = (1.0 - z) * n + z * h[i];
+    const T r = sigmoid_value(gi[i] + gh[i]);
+    const T z = sigmoid_value(gi[H + i] + gh[H + i]);
+    const T n = std::tanh(gi[2 * H + i] + r * gh[2 * H + i]);
+    h_out[i] = (T(1) - z) * n + z * h[i];
   }
 }
 
@@ -477,85 +459,49 @@ void GruCell::forward_values_reference(std::span<const double> h,
   }
 }
 
-void GruCell::forward_values_batch(const double* h, const double* x,
-                                   double* h_out, std::size_t n,
-                                   Scratch& s) const {
-  ensure_packed();
-  const std::size_t H = hidden_;
-  s.gi.resize(3 * H * n);
-  s.gh.resize(3 * H * n);
-  kernels::gemm(wi_pack_.data(), bi_pack_.data(), x, s.gi.data(), 3 * H,
-                input_, n);
-  kernels::gemm(wh_pack_.data(), bh_pack_.data(), h, s.gh.data(), 3 * H,
-                hidden_, n);
-  for (std::size_t i = 0; i < H; ++i) {
-    const double* gir = s.gi.data() + i * n;
-    const double* giz = s.gi.data() + (H + i) * n;
-    const double* gin = s.gi.data() + (2 * H + i) * n;
-    const double* ghr = s.gh.data() + i * n;
-    const double* ghz = s.gh.data() + (H + i) * n;
-    const double* ghn = s.gh.data() + (2 * H + i) * n;
-    const double* hrow = h + i * n;
-    double* out = h_out + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double r = sigmoid_value(gir[j] + ghr[j]);
-      const double z = sigmoid_value(giz[j] + ghz[j]);
-      const double nn = std::tanh(gin[j] + r * ghn[j]);
-      out[j] = (1.0 - z) * nn + z * hrow[j];
-    }
-  }
-}
-
-void GruCell::forward_values(std::span<const float> h,
-                             std::span<const float> x,
-                             std::span<float> h_out, Scratch& s,
-                             DType storage) const {
-  if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
-    throw std::invalid_argument("GruCell::forward_values: size mismatch");
-  }
-  ensure_packed_f32(storage);
-  const std::size_t H = hidden_;
-  s.gi_f.resize(3 * H);
-  s.gh_f.resize(3 * H);
-  kernels::gemv(wi_pack_f32_.data(), bi_pack_f32_.data(), x.data(),
-                s.gi_f.data(), 3 * H, input_);
-  kernels::gemv(wh_pack_f32_.data(), bh_pack_f32_.data(), h.data(),
-                s.gh_f.data(), 3 * H, hidden_);
-  for (std::size_t i = 0; i < H; ++i) {
-    const float r = sigmoid_value(s.gi_f[i] + s.gh_f[i]);
-    const float z = sigmoid_value(s.gi_f[H + i] + s.gh_f[H + i]);
-    const float n = std::tanh(s.gi_f[2 * H + i] + r * s.gh_f[2 * H + i]);
-    h_out[i] = (1.0f - z) * n + z * h[i];
-  }
-}
-
-void GruCell::forward_values_batch(const float* h, const float* x,
-                                   float* h_out, std::size_t n, Scratch& s,
+template <typename T>
+void GruCell::forward_values_batch(const T* h, const T* x, T* h_out,
+                                   std::size_t n, Scratch& s,
                                    DType storage) const {
-  ensure_packed_f32(storage);
+  const auto [wi, wh, bi, bh] = packs<T>(storage);
   const std::size_t H = hidden_;
-  s.gi_f.resize(3 * H * n);
-  s.gh_f.resize(3 * H * n);
-  kernels::gemm(wi_pack_f32_.data(), bi_pack_f32_.data(), x, s.gi_f.data(),
-                3 * H, input_, n);
-  kernels::gemm(wh_pack_f32_.data(), bh_pack_f32_.data(), h, s.gh_f.data(),
-                3 * H, hidden_, n);
+  auto& gi = tier<T>(s.gi, s.gi_f);
+  auto& gh = tier<T>(s.gh, s.gh_f);
+  gi.resize(3 * H * n);
+  gh.resize(3 * H * n);
+  kernels::gemm(wi, bi, x, gi.data(), 3 * H, input_, n);
+  kernels::gemm(wh, bh, h, gh.data(), 3 * H, hidden_, n);
   for (std::size_t i = 0; i < H; ++i) {
-    const float* gir = s.gi_f.data() + i * n;
-    const float* giz = s.gi_f.data() + (H + i) * n;
-    const float* gin = s.gi_f.data() + (2 * H + i) * n;
-    const float* ghr = s.gh_f.data() + i * n;
-    const float* ghz = s.gh_f.data() + (H + i) * n;
-    const float* ghn = s.gh_f.data() + (2 * H + i) * n;
-    const float* hrow = h + i * n;
-    float* out = h_out + i * n;
+    const T* gir = gi.data() + i * n;
+    const T* giz = gi.data() + (H + i) * n;
+    const T* gin = gi.data() + (2 * H + i) * n;
+    const T* ghr = gh.data() + i * n;
+    const T* ghz = gh.data() + (H + i) * n;
+    const T* ghn = gh.data() + (2 * H + i) * n;
+    const T* hrow = h + i * n;
+    T* out = h_out + i * n;
     for (std::size_t j = 0; j < n; ++j) {
-      const float r = sigmoid_value(gir[j] + ghr[j]);
-      const float z = sigmoid_value(giz[j] + ghz[j]);
-      const float nn = std::tanh(gin[j] + r * ghn[j]);
-      out[j] = (1.0f - z) * nn + z * hrow[j];
+      const T r = sigmoid_value(gir[j] + ghr[j]);
+      const T z = sigmoid_value(giz[j] + ghz[j]);
+      const T nn = std::tanh(gin[j] + r * ghn[j]);
+      out[j] = (T(1) - z) * nn + z * hrow[j];
     }
   }
 }
+
+template void GruCell::forward_values(std::span<const double>,
+                                      std::span<const double>,
+                                      std::span<double>, Scratch&,
+                                      DType) const;
+template void GruCell::forward_values(std::span<const float>,
+                                      std::span<const float>,
+                                      std::span<float>, Scratch&,
+                                      DType) const;
+template void GruCell::forward_values_batch(const double*, const double*,
+                                            double*, std::size_t, Scratch&,
+                                            DType) const;
+template void GruCell::forward_values_batch(const float*, const float*,
+                                            float*, std::size_t, Scratch&,
+                                            DType) const;
 
 }  // namespace chainnet::tensor

@@ -61,6 +61,14 @@ class Module {
 void glorot_uniform(std::span<double> weights, std::size_t fan_in,
                     std::size_t fan_out, chainnet::support::Rng& rng);
 
+// Inference value paths (forward_values[_batch] of Linear, Mlp and
+// GruCell) build no autodiff graph. They are templates on the element type
+// T, defined for double and float. T = double reads the master f64
+// weights. T = float is the reduced-precision tier: it reads a lazily
+// converted f32 copy of the weights, bf16-rounded when `storage` is kBf16
+// (weights only; activations stay plain f32), and re-converted when a
+// parameter's node version moves. `storage` is ignored for double.
+
 /// y = W x + b, with W: [out, in].
 class Linear : public Module {
  public:
@@ -68,25 +76,24 @@ class Linear : public Module {
          const std::string& name = "linear");
   Var forward(const Var& x) const;
 
-  /// Inference-only evaluation into a caller buffer (out = W x + b); no
-  /// autodiff graph is built. `out` must have out_features() elements.
+  /// Inference-only evaluation into a caller buffer (out = W x + b).
+  /// `out` must have out_features() elements.
+  template <typename T>
+  void forward_values(std::span<const T> x, std::span<T> out,
+                      DType storage = DType::kF64) const;
+  /// f64 overload, so std::vector<double> arguments convert (template
+  /// deduction does not look through that conversion).
   void forward_values(std::span<const double> x,
-                      std::span<double> out) const;
+                      std::span<double> out) const {
+    forward_values<double>(x, out);
+  }
 
   /// Batched inference over n batch columns: `x` is a row-major
   /// [in_features x n] panel, `out` a [out_features x n] panel. Column j is
   /// bit-identical to forward_values on column j (see kernels.h).
-  void forward_values_batch(const double* x, double* out,
-                            std::size_t n) const;
-
-  /// Reduced-precision tier: same contracts on float panels, using a
-  /// lazily cached f32 copy of W/b (bf16-rounded when `storage` is kBf16 —
-  /// weights only; activations stay plain f32). The cache re-converts when
-  /// a parameter's node version moves, like GruCell's packed blocks.
-  void forward_values(std::span<const float> x, std::span<float> out,
-                      DType storage) const;
-  void forward_values_batch(const float* x, float* out, std::size_t n,
-                            DType storage) const;
+  template <typename T>
+  void forward_values_batch(const T* x, T* out, std::size_t n,
+                            DType storage = DType::kF64) const;
 
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
@@ -94,6 +101,9 @@ class Linear : public Module {
  private:
   /// Re-converts the f32 weight cache when stale (version or storage mode).
   void ensure_f32(DType storage) const;
+  /// W and b in element type T (the f32 cache for float).
+  template <typename T>
+  std::array<const T*, 2> weights(DType storage) const;
 
   std::size_t in_, out_;
   Var w_, b_;
@@ -130,32 +140,32 @@ class Mlp : public Module {
   /// and use the overload below.
   void forward_values(std::span<const double> x, std::span<double> out) const;
   /// Inference-only evaluation; `out` must have output-layer width.
+  template <typename T>
+  void forward_values(std::span<const T> x, std::span<T> out,
+                      Scratch& scratch, DType storage = DType::kF64) const;
+  /// f64 overload for std::vector<double> arguments (see Linear).
   void forward_values(std::span<const double> x, std::span<double> out,
-                      Scratch& scratch) const;
+                      Scratch& scratch) const {
+    forward_values<double>(x, out, scratch);
+  }
 
   /// Batched inference over n batch columns: `x` is a row-major
   /// [input x n] panel, `out` a [output x n] panel. Column j is
   /// bit-identical to forward_values on column j.
-  void forward_values_batch(const double* x, double* out, std::size_t n,
-                            Scratch& scratch) const;
-
-  /// Reduced-precision tier (see Linear): float panels through the f32
-  /// kernel table and the per-layer f32 weight caches.
-  void forward_values(std::span<const float> x, std::span<float> out,
-                      Scratch& scratch, DType storage) const;
-  void forward_values_batch(const float* x, float* out, std::size_t n,
-                            Scratch& scratch, DType storage) const;
+  template <typename T>
+  void forward_values_batch(const T* x, T* out, std::size_t n,
+                            Scratch& scratch,
+                            DType storage = DType::kF64) const;
 
  private:
   std::vector<std::unique_ptr<Linear>> layers_;
   Activation hidden_, output_;
 };
 
-/// Applies an activation elementwise to a raw buffer (inference path).
+/// Applies an activation elementwise to a raw buffer (inference path), in
+/// the buffer's own precision (float buffers use the float overloads of
+/// exp/tanh and friends).
 void apply_activation_values(std::span<double> x, Activation act);
-
-/// Float flavor for the reduced-precision tier: same shapes, evaluated in
-/// f32 arithmetic (expf/tanhf and friends via the float overloads).
 void apply_activation_values(std::span<float> x, Activation act);
 
 /// Gated recurrent unit cell (Cho et al. 2014), used for the paper's three
@@ -187,10 +197,13 @@ class GruCell : public Module {
                       std::span<double> h_out) const;
   /// Inference-only evaluation into `h_out` (size hidden); no graph built.
   /// `h_out` may not alias `h`. Dispatches the packed [3Hxin]/[3HxH]
-  /// weight blocks through the blocked kernels — bit-identical to
-  /// forward_values_reference (pinned by chainnet_batch_test).
-  void forward_values(std::span<const double> h, std::span<const double> x,
-                      std::span<double> h_out, Scratch& scratch) const;
+  /// weight blocks through the blocked kernels; for double it is
+  /// bit-identical to forward_values_reference (pinned by
+  /// chainnet_batch_test). Gates run in T arithmetic.
+  template <typename T>
+  void forward_values(std::span<const T> h, std::span<const T> x,
+                      std::span<T> h_out, Scratch& scratch,
+                      DType storage = DType::kF64) const;
 
   /// Pre-fusion evaluation path: six independent naive GEMVs, kept as the
   /// bit-parity oracle and the bench_infer baseline.
@@ -203,19 +216,10 @@ class GruCell : public Module {
   /// [hidden x n] panels, `x` a [input x n] panel; column j is
   /// bit-identical to forward_values on column j. `h_out` must not alias
   /// `h` or `x`.
-  void forward_values_batch(const double* h, const double* x, double* h_out,
-                            std::size_t n, Scratch& scratch) const;
-
-  /// Reduced-precision tier: the fused step on float panels, with the
-  /// packed gate blocks lazily converted to f32 (bf16-rounded when
-  /// `storage` is kBf16) and version-checked like the f64 packs. Gates run
-  /// in f32 arithmetic.
-  void forward_values(std::span<const float> h, std::span<const float> x,
-                      std::span<float> h_out, Scratch& scratch,
-                      DType storage) const;
-  void forward_values_batch(const float* h, const float* x, float* h_out,
-                            std::size_t n, Scratch& scratch,
-                            DType storage) const;
+  template <typename T>
+  void forward_values_batch(const T* h, const T* x, T* h_out, std::size_t n,
+                            Scratch& scratch,
+                            DType storage = DType::kF64) const;
 
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return hidden_; }
@@ -227,6 +231,9 @@ class GruCell : public Module {
   /// Converts the packed blocks to the f32 tier (own staleness tracking:
   /// a process may run both tiers against one cell).
   void ensure_packed_f32(DType storage) const;
+  /// The packed blocks {wi, wh, bi, bh} in element type T.
+  template <typename T>
+  std::array<const T*, 4> packs(DType storage) const;
 
   std::size_t input_, hidden_;
   Var w_ir_, w_iz_, w_in_;

@@ -1,8 +1,9 @@
 // Bit-exactness contract of the batched and fused inference paths:
 //  * forward_values_batch column b must equal forward_values on graphs[b]
 //    EXACTLY (EXPECT_EQ on doubles) for B in {1, 2, 7, 32}, on every
-//    ablation configuration — the lock-stepped batch-major engine may not
-//    perturb a single placement's numbers;
+//    ablation configuration and every element type (f64, f32, bf16) — the
+//    lock-stepped batch-major engine may not perturb a single placement's
+//    numbers;
 //  * the fused-kernel path must equal the pre-fusion reference path
 //    (fused_kernels = false) exactly, including after parameters mutate
 //    (exercising the packed-weight version check);
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/chainnet.h"
@@ -22,6 +25,7 @@
 #include "runtime/eval_service.h"
 #include "runtime/thread_pool.h"
 #include "support/rng.h"
+#include "tensor/dtype.h"
 #include "test_util.h"
 
 namespace chainnet::core {
@@ -93,16 +97,20 @@ std::vector<NamedConfig> all_configs() {
           {"mean_agg", no_attention}};
 }
 
-class BatchSizeSweep : public ::testing::TestWithParam<int> {};
+/// (batch width, element type): every inference tier carries the same
+/// batch == scalar contract, bit for bit within the tier.
+class BatchSizeSweep
+    : public ::testing::TestWithParam<std::tuple<int, tensor::DType>> {};
 
 TEST_P(BatchSizeSweep, MatchesScalarOnEveryConfig) {
-  const int batch = GetParam();
+  const auto [batch, dtype] = GetParam();
   const auto system = medium_system(42);
   const auto placements = random_placements(system, batch, 7);
   for (const auto& named : all_configs()) {
     auto cfg = named.cfg;
     cfg.hidden = 16;
     cfg.iterations = 3;
+    cfg.dtype = dtype;
     Rng rng(3);
     ChainNet model(cfg, rng);
     SCOPED_TRACE(named.name);
@@ -110,8 +118,16 @@ TEST_P(BatchSizeSweep, MatchesScalarOnEveryConfig) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, BatchSizeSweep,
-                         ::testing::Values(1, 2, 7, 32));
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, BatchSizeSweep,
+    ::testing::Combine(::testing::Values(1, 2, 7, 32),
+                       ::testing::Values(tensor::DType::kF64,
+                                         tensor::DType::kF32,
+                                         tensor::DType::kBf16)),
+    [](const ::testing::TestParamInfo<BatchSizeSweep::ParamType>& sweep) {
+      return "B" + std::to_string(std::get<0>(sweep.param)) + "_" +
+             tensor::dtype_name(std::get<1>(sweep.param));
+    });
 
 TEST(ChainNetBatch, RepeatedLanesAgree) {
   // The same placement in several lanes must produce identical columns.

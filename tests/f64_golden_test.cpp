@@ -1,7 +1,8 @@
 // f64 non-regression goldens for the default inference tier: the reduced-
 // precision work (DESIGN.md §15) promises the f64 path stays bit-for-bit
-// identical — the f32 executors are separate functions and the f64 kernels
-// are untouched — and this test pins that promise to literal values.
+// identical — the plan executor is one template over the element type
+// whose f64 instantiation must keep the f64 kernel-call sequence — and
+// this test pins that promise to literal values.
 // forward_values / forward_values_batch on a fixed system, fixed init
 // seeds, and the baseline kernel ISA must reproduce these %.17g doubles
 // EXACTLY on every machine; any diff means the f64 engine's arithmetic
@@ -10,8 +11,10 @@
 // The custom main() forces CHAINNET_KERNEL_ISA=baseline before the first
 // kernel call (the dispatch table resolves once per process): the baseline
 // tier is the only one every build machine shares, which is what makes
-// literal goldens portable. Cross-tier equality is pinned separately
-// (kernels_test, chainnet_batch_test run per-tier via ctest ENVIRONMENT).
+// literal goldens portable. Cross-tier equality is pinned separately:
+// kernels_test, chainnet_batch_test and plan_test re-run on the baseline
+// and avx2 tiers via ctest ENVIRONMENT. reduced_golden_test pins the f32
+// and bf16 tiers the same way this test pins f64.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -15,10 +15,12 @@
 #include "gnn/plan.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -349,13 +351,19 @@ TEST(PlanCache, EvalServiceSharesOneCacheAcrossWorkers) {
   cfg.hidden = 8;
   cfg.iterations = 2;
 
+  // Each chunk waits at the latch until the other chunk has started, so
+  // the two chunks always run on two different workers. Without it one
+  // worker may take both chunks, and its second chunk hits the model's
+  // private plan memo instead of the shared cache.
+  std::latch both_chunks(2);
   runtime::ThreadPool pool(2);
   runtime::EvalService service(
       pool,
-      [cfg](support::Rng) -> std::unique_ptr<optim::PlacementEvaluator> {
+      [cfg, &both_chunks](
+          support::Rng) -> std::unique_ptr<optim::PlacementEvaluator> {
         struct Owning final : optim::PlacementEvaluator {
-          explicit Owning(const ChainNetConfig& c)
-              : rng(3), model(c, rng), eval(model) {}
+          Owning(const ChainNetConfig& c, std::latch& gate)
+              : rng(3), model(c, rng), eval(model), chunk_gate(gate) {}
           double total_throughput(const edge::EdgeSystem& s,
                                   const edge::Placement& p) override {
             record_evaluation();
@@ -364,6 +372,7 @@ TEST(PlanCache, EvalServiceSharesOneCacheAcrossWorkers) {
           void total_throughput_batch(const edge::EdgeSystem& s,
                                       std::span<const edge::Placement> ps,
                                       std::span<double> out) override {
+            chunk_gate.arrive_and_wait();
             eval.total_throughput_batch(s, ps, out);
           }
           void set_plan_cache(std::shared_ptr<gnn::PlanCache> c) override {
@@ -372,8 +381,9 @@ TEST(PlanCache, EvalServiceSharesOneCacheAcrossWorkers) {
           Rng rng;
           ChainNet model;
           Surrogate eval;
+          std::latch& chunk_gate;
         };
-        return std::make_unique<Owning>(cfg);
+        return std::make_unique<Owning>(cfg, both_chunks);
       },
       99);
 
@@ -444,7 +454,9 @@ TEST(PlanDump, ListsOpsAndScratchAccounting) {
 /// Registry hot swap: new weights, same plans (the serve-flusher satellite).
 TEST(PlanRegistry, HotSwapKeepsCompiledPlans) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "chainnet_plan_registry";
+  // Per process: ctest runs this suite once per ISA tier, concurrently.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("chainnet_plan_registry_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
 
