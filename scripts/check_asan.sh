@@ -18,7 +18,8 @@
 # joins for the reduced-precision tier (f32 packing caches + tile scratch
 # share the f64 tier's buffer-reuse idioms), and f64_golden_test and
 # reduced_golden_test keep the f64 and f32/bf16 goldens honest under
-# instrumentation.
+# instrumentation. serve_listener_test feeds the frame reader partial
+# prefixes, partial payloads and mid-frame half-closes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,6 +33,7 @@ cmake --build build-asan -j "$(nproc)" \
   graph_workspace_test \
   plan_test trainer_test \
   invariance_test json_test serve_protocol_test serve_loopback_test \
+  serve_listener_test \
   consistent_hash_test registry_test router_test search_test \
   chainnet_lint lint_test
 
@@ -41,7 +43,7 @@ cmake --build build-asan -j "$(nproc)" \
 ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-asan \
-  -R '(autograd|tape|nn|optimizer|serialize|baselines|baseline_gradcheck|chainnet|chainnet_gradcheck|chainnet_inference|chainnet_batch|kernels|kernels_f32|f64_golden|reduced_golden|graph_workspace|plan|trainer|invariance|json|serve_protocol|serve_loopback|consistent_hash|registry|router|search|lint)_test' \
+  -R '(autograd|tape|nn|optimizer|serialize|baselines|baseline_gradcheck|chainnet|chainnet_gradcheck|chainnet_inference|chainnet_batch|kernels|kernels_f32|f64_golden|reduced_golden|graph_workspace|plan|trainer|invariance|json|serve_protocol|serve_loopback|serve_listener|consistent_hash|registry|router|search|lint)_test' \
   --output-on-failure "$@"
 
 echo "ASan+UBSan check passed."

@@ -21,7 +21,9 @@
 # and the two golden suites (f64_golden_test, reduced_golden_test) join
 # because the reduced-precision tier adds its own thread-local tile scratch
 # and once-per-process ISA/dtype resolution — the same publication patterns
-# TSan is here to police.
+# TSan is here to police. serve_listener_test drives the connection core
+# both front-ends share (accept thread, per-connection readers, bounded
+# stop) through hostile peers and descriptor exhaustion.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +32,7 @@ cmake --preset tsan
 cmake --build build-tsan -j "$(nproc)" \
   --target thread_pool_test eval_cache_test parallel_anneal_test \
   chainnet_batch_test serve_metrics_test serve_loopback_test \
-  registry_test plan_test router_test search_test \
+  serve_listener_test registry_test plan_test router_test search_test \
   kernels_f32_test f64_golden_test reduced_golden_test \
   chainnet_lint lint_test
 
@@ -39,7 +41,7 @@ cmake --build build-tsan -j "$(nproc)" \
 # the locks they reason about.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan \
-  -R '(thread_pool|eval_cache|parallel_anneal|chainnet_batch|serve_metrics|serve_loopback|registry|plan|search|kernels_f32|f64_golden|reduced_golden|lint)_test|^router_test$' \
+  -R '(thread_pool|eval_cache|parallel_anneal|chainnet_batch|serve_metrics|serve_loopback|serve_listener|registry|plan|search|kernels_f32|f64_golden|reduced_golden|lint)_test|^router_test$' \
   --output-on-failure "$@"
 
 echo "TSan check passed."

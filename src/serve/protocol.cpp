@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -7,7 +8,9 @@
 #include <sys/time.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace chainnet::serve {
 
@@ -29,21 +32,6 @@ constexpr CodeName kCodeNames[] = {
     {ErrorCode::kUpstreamFailed, "upstream_failed"},
 };
 
-/// send() with MSG_NOSIGNAL so a vanished peer surfaces as EPIPE, not a
-/// process-killing signal; loops over EINTR and short writes.
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// Returns bytes read (== size), 0 on EOF at the first byte, -1 on error
 /// or EOF mid-buffer.
 int recv_all(int fd, char* data, std::size_t size) {
@@ -61,6 +49,34 @@ int recv_all(int fd, char* data, std::size_t size) {
 }
 
 }  // namespace
+
+std::optional<sockaddr_in> ipv4_address(const std::string& host, int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
+  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
+    return std::nullopt;
+  }
+  return addr;
+}
+
+void throw_errno(const std::string& what) {
+  throw std::runtime_error(what + ": " + std::strerror(errno));
+}
+
+bool send_all(int fd, const char* data, std::size_t size) {
+  std::size_t sent = 0;
+  while (sent < size) {
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 void set_low_latency(int fd) noexcept {
   const int one = 1;
@@ -155,6 +171,36 @@ support::Json error_response(ErrorCode code, const std::string& message) {
   response["ok"] = support::Json(false);
   response["error"] = std::move(detail);
   return response;
+}
+
+support::Json latency_json(const LatencyHistogram& histogram) {
+  const auto latency = histogram.snapshot();
+  support::Json doc;
+  doc["count"] = support::Json(static_cast<double>(latency.total));
+  doc["mean_s"] = support::Json(latency.mean());
+  doc["p50_s"] = support::Json(latency.quantile(0.50));
+  doc["p95_s"] = support::Json(latency.quantile(0.95));
+  doc["p99_s"] = support::Json(latency.quantile(0.99));
+  return doc;
+}
+
+std::vector<std::vector<int>> assignment_from_json(const support::Json& doc) {
+  std::vector<std::vector<int>> assignment;
+  for (const auto& row : doc.as_array()) {
+    std::vector<int> devices;
+    for (const auto& dev : row.as_array()) {
+      const double v = dev.as_number();
+      if (v != std::floor(v) ||
+          v < static_cast<double>(std::numeric_limits<int>::min()) ||
+          v > static_cast<double>(std::numeric_limits<int>::max())) {
+        throw support::JsonError(
+            "device index must be an integer in int range", 0);
+      }
+      devices.push_back(static_cast<int>(v));
+    }
+    assignment.push_back(std::move(devices));
+  }
+  return assignment;
 }
 
 }  // namespace chainnet::serve

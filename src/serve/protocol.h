@@ -23,7 +23,11 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include <netinet/in.h>
+
+#include "serve/metrics.h"
 #include "support/json.h"
 
 namespace chainnet::serve {
@@ -81,6 +85,17 @@ inline constexpr std::chrono::seconds kClientSendTimeout{5};
 /// the connection's reader exits.
 void set_blocking_with_send_timeout(int fd) noexcept;
 
+/// The IPv4 socket address of `host`:`port`. `host` is a dotted quad or
+/// "localhost" (127.0.0.1); anything else (no DNS) yields nullopt.
+std::optional<sockaddr_in> ipv4_address(const std::string& host, int port);
+
+/// Throws std::runtime_error("<what>: <strerror(errno)>").
+[[noreturn]] void throw_errno(const std::string& what);
+
+/// send() with MSG_NOSIGNAL, looping over EINTR and short writes. Returns
+/// false when the peer is gone or a send times out (SO_SNDTIMEO).
+bool send_all(int fd, const char* data, std::size_t size);
+
 /// Writes one frame; loops over partial writes. Returns false when the
 /// peer is gone (EPIPE/ECONNRESET — never raises SIGPIPE).
 bool write_frame(int fd, std::string_view payload);
@@ -93,5 +108,15 @@ FrameStatus read_frame(int fd, std::string& payload, std::string& error);
 /// Response builders shared by server, client and tests.
 support::Json ok_response();
 support::Json error_response(ErrorCode code, const std::string& message);
+
+/// The {count, mean_s, p50_s, p95_s, p99_s} summary `stats` reports for a
+/// latency histogram.
+support::Json latency_json(const LatencyHistogram& histogram);
+
+/// The chain-by-chain device indices of one eval placement document. Throws
+/// support::JsonError on a wrong-typed value or an index that is not an
+/// integer in int range (static_cast<int> of an out-of-range double is
+/// undefined behavior, so the range check precedes the cast).
+std::vector<std::vector<int>> assignment_from_json(const support::Json& doc);
 
 }  // namespace chainnet::serve

@@ -1,20 +1,14 @@
 #include "serve/router.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -25,39 +19,30 @@ namespace chainnet::serve {
 
 using support::Json;
 
-struct Router::Connection {
-  int fd = -1;
-  bool metrics = false;
-  std::atomic<bool> done{false};
-  std::thread thread;
-};
-
 namespace {
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error(what + ": " + std::strerror(errno));
-}
 
 /// Bound on a blocked upstream read: a backend that accepted the request
 /// but will never answer (wedged, not dead) must not pin a router reader
 /// forever. Generous because a reload round trip builds a model.
 constexpr timeval kUpstreamRecvTimeout{30, 0};
 constexpr timeval kUpstreamSendTimeout{5, 0};
-/// Bound on reading the HTTP request line of a metrics scrape.
-constexpr timeval kMetricsRecvTimeout{2, 0};
 
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// A client connection's lazily-opened sockets, one per backend: requests
+/// on one connection are serial, so the sockets are single-owner, and a
+/// long-lived client amortizes its connects to zero. Closed when the
+/// connection ends.
+struct Upstreams {
+  explicit Upstreams(std::size_t backends) : fds(backends, -1) {}
+  ~Upstreams() {
+    for (int fd : fds) {
+      if (fd >= 0) ::close(fd);
     }
-    sent += static_cast<std::size_t>(n);
   }
-  return true;
-}
+  Upstreams(const Upstreams&) = delete;
+  Upstreams& operator=(const Upstreams&) = delete;
+
+  std::vector<int> fds;
+};
 
 void append_metric(std::string& out, std::string_view name,
                    std::string_view type, std::string_view labels,
@@ -106,217 +91,36 @@ Router::Router(RouterConfig config)
 
 Router::~Router() { stop(); }
 
-namespace {
-
-int listen_on(const std::string& host, int port, int& bound_port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("Router: socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("Router: invalid host '" + host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno("Router: bind/listen on " + numeric + ":" +
-                std::to_string(port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-  bound_port = static_cast<int>(ntohs(bound.sin_port));
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  return fd;
-}
-
-}  // namespace
-
 void Router::start() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (started_) throw std::runtime_error("Router: already started");
-  }
-  listen_fd_ = listen_on(config_.host, config_.port, bound_port_);
+  std::vector<Endpoint> endpoints(1);
+  endpoints[0].host = config_.host;
+  endpoints[0].port = config_.port;
+  endpoints[0].session = [this]() -> FrameHandler {
+    auto upstreams = std::make_shared<Upstreams>(config_.backends.size());
+    return [this, upstreams](const std::string& payload) {
+      return dispatch(payload, upstreams->fds);
+    };
+  };
+  endpoints[0].counters = {&metrics_.connections_accepted,
+                           &metrics_.requests_total, &metrics_.parse_errors,
+                           &metrics_.bad_requests, &metrics_.route_latency};
   if (config_.metrics_port >= 0) {
-    try {
-      metrics_fd_ =
-          listen_on(config_.host, config_.metrics_port, bound_metrics_port_);
-    } catch (...) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw;
-    }
+    Endpoint scrape;
+    scrape.host = config_.host;
+    scrape.port = config_.metrics_port;
+    scrape.reply = [this] { return metrics_http_response(); };
+    endpoints.push_back(std::move(scrape));
   }
-  if (::pipe(wake_pipe_) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (metrics_fd_ >= 0) ::close(metrics_fd_);
-    metrics_fd_ = -1;
-    errno = err;
-    throw_errno("Router: pipe");
-  }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    started_ = true;
-  }
+  listener_.start(std::move(endpoints));
   health_thread_ = std::thread([this] { health_loop(); });
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Router::wait() {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  state_cv_.wait(lock, [this] { return shutdown_requested_ || stopped_; });
-}
-
-bool Router::wait_for(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(state_mutex_);
-  return state_cv_.wait_for(
-      lock, timeout, [this] { return shutdown_requested_ || stopped_; });
 }
 
 void Router::stop() {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    const bool was_running = started_ && !stopped_;
-    stopped_ = true;
-    if (!was_running) {
-      state_cv_.notify_all();
-      return;
-    }
-  }
-  state_cv_.notify_all();  // wakes wait() and the health thread's timer
-
-  const char wake = 1;
-  while (::write(wake_pipe_[1], &wake, 1) < 0 && errno == EINTR) {
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (health_thread_.joinable()) health_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (metrics_fd_ >= 0) ::close(metrics_fd_);
-  metrics_fd_ = -1;
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-
-  // Half-close client sockets so idle readers see EOF at once. A reader
-  // blocked on an upstream round trip finishes within the upstream
-  // recv/send timeouts, and one blocked writing to a client that stopped
-  // reading within two kClientSendTimeout periods — stop() is graceful,
-  // not instantaneous. The lock
-  // covers only taking ownership of the list; the shutdowns, joins, and
-  // closes run outside it so stop() never blocks with conn_mutex_ held.
-  std::vector<std::unique_ptr<Connection>> doomed;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    doomed.swap(connections_);
-  }
-  for (auto& conn : doomed) {
-    if (!conn->done.load(std::memory_order_acquire)) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
-  }
-  for (auto& conn : doomed) {
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-  }
-}
-
-void Router::accept_loop() {
-  for (;;) {
-    pollfd fds[3] = {{wake_pipe_[0], POLLIN, 0},
-                     {listen_fd_, POLLIN, 0},
-                     {metrics_fd_, POLLIN, 0}};
-    // A disabled metrics listener (fd -1) is legal in poll: the slot is
-    // simply ignored.
-    const int ready = ::poll(fds, 3, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[0].revents != 0) break;  // stop() wrote the wake byte
-    for (int which = 1; which <= 2; ++which) {
-      if ((fds[which].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      const int fd = ::accept(fds[which].fd, nullptr, nullptr);
-      if (fd < 0) continue;  // raced abort / EAGAIN: poll again
-      auto conn = std::make_unique<Connection>();
-      conn->fd = fd;
-      conn->metrics = which == 2;
-      set_blocking_with_send_timeout(fd);
-      Connection* raw = conn.get();
-      std::lock_guard<std::mutex> lock(conn_mutex_);
-      reap_finished_connections();
-      if (raw->metrics) {
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kMetricsRecvTimeout,
-                     sizeof(kMetricsRecvTimeout));
-        conn->thread = std::thread([this, raw] { metrics_loop(raw); });
-      } else {
-        metrics_.connections_accepted.add();
-        set_low_latency(fd);
-        conn->thread = std::thread([this, raw] { reader_loop(raw); });
-      }
-      connections_.push_back(std::move(conn));
-    }
-  }
-}
-
-void Router::reap_finished_connections() {
-  // LINT:unguarded(caller holds conn_mutex_ — the accept loop reaps while
-  // already inside its lock_guard, mirroring serve::Server)
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
-    if (!conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    ::close(conn->fd);
-    return true;
+  // stop() wakes the health thread's timer; it exits after its current
+  // round of probes.
+  listener_.stop([this] {
+    if (health_thread_.joinable()) health_thread_.join();
   });
-}
-
-void Router::reader_loop(Connection* conn) {
-  using Clock = std::chrono::steady_clock;
-  // Each client connection keeps one lazily-opened socket per backend:
-  // requests on one connection are serial, so the sockets are single-owner,
-  // and a long-lived client amortizes its connects to zero.
-  std::vector<int> upstreams(config_.backends.size(), -1);
-  std::string payload;
-  std::string frame_error;
-  for (;;) {
-    const FrameStatus status = read_frame(conn->fd, payload, frame_error);
-    if (status == FrameStatus::kClosed) break;
-    if (status == FrameStatus::kError) {
-      metrics_.parse_errors.add();
-      write_frame(conn->fd,
-                  error_response(ErrorCode::kParseError, frame_error).dump());
-      break;
-    }
-    const auto start = Clock::now();
-    metrics_.requests_total.add();
-    std::string response;
-    try {
-      response = dispatch(payload, upstreams);
-    } catch (const std::exception& e) {
-      metrics_.bad_requests.add();
-      response = error_response(ErrorCode::kInternal, e.what()).dump();
-    }
-    const bool written = write_frame(conn->fd, response);
-    metrics_.route_latency.record(
-        std::chrono::duration<double>(Clock::now() - start).count());
-    if (!written) break;
-  }
-  for (int fd : upstreams) {
-    if (fd >= 0) ::close(fd);
-  }
-  conn->done.store(true, std::memory_order_release);
 }
 
 std::string Router::dispatch(const std::string& payload,
@@ -347,11 +151,7 @@ std::string Router::dispatch(const std::string& payload,
     return fanout(payload, upstreams);
   }
   if (type == "shutdown") {
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      shutdown_requested_ = true;
-    }
-    state_cv_.notify_all();
+    listener_.request_shutdown();
     return ok_response().dump();
   }
   metrics_.bad_requests.add();
@@ -371,22 +171,9 @@ std::uint64_t Router::routing_key(const Json& request) const {
   try {
     const auto& docs = request.at("placements").as_array();
     if (docs.empty()) return key;
-    std::vector<std::vector<int>> assignment;
-    for (const auto& row : docs.front().as_array()) {
-      std::vector<int> devices;
-      for (const auto& dev : row.as_array()) {
-        const double v = dev.as_number();
-        if (v != std::floor(v) ||
-            v < static_cast<double>(std::numeric_limits<int>::min()) ||
-            v > static_cast<double>(std::numeric_limits<int>::max())) {
-          return key;
-        }
-        devices.push_back(static_cast<int>(v));
-      }
-      assignment.push_back(std::move(devices));
-    }
-    key = HashRing::mix(key,
-                        edge::Placement(std::move(assignment)).canonical_hash());
+    key = HashRing::mix(
+        key, edge::Placement(assignment_from_json(docs.front()))
+                 .canonical_hash());
   } catch (const std::exception&) {
     // fall through: system-only key
   }
@@ -461,23 +248,16 @@ std::string Router::fanout(const std::string& payload,
 
 int Router::connect_backend(std::size_t b) const {
   const BackendAddress& addr = config_.backends[b];
+  const auto sa = ipv4_address(addr.host, addr.port);
+  if (!sa) return -1;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(static_cast<std::uint16_t>(addr.port));
-  const std::string numeric =
-      addr.host == "localhost" ? "127.0.0.1" : addr.host;
-  if (::inet_pton(AF_INET, numeric.c_str(), &sa.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
   // Non-blocking connect bounded by connect_timeout_ms, then back to
   // blocking I/O with send/recv timeouts for the round trips.
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&sa),
-                           sizeof(sa));
+  const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&*sa),
+                           sizeof(*sa));
   if (rc != 0) {
     if (errno != EINPROGRESS) {
       ::close(fd);
@@ -553,45 +333,38 @@ std::vector<char> Router::healthy_snapshot() const {
   return healthy_;
 }
 
+std::optional<Json> Router::probe_stats(std::size_t b) const {
+  // A fresh connection per probe: it then validates the full accept ->
+  // serve path, not just an already-open socket.
+  const int fd = connect_backend(b);
+  if (fd < 0) return std::nullopt;
+  std::optional<Json> doc;
+  std::string response;
+  std::string frame_error;
+  if (write_frame(fd, R"({"type":"stats"})") &&
+      read_frame(fd, response, frame_error) == FrameStatus::kOk) {
+    try {
+      doc = Json::parse(response);
+    } catch (const std::exception&) {
+      // Unparseable stats: no snapshot.
+    }
+  }
+  ::close(fd);
+  return doc;
+}
+
 void Router::health_loop() {
   const auto interval = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::duration<double, std::milli>(
           std::max(1.0, config_.health_interval_ms)));
-  const std::string probe = [] {
-    Json request;
-    request["type"] = Json("stats");
-    return request.dump();
-  }();
-  for (;;) {
+  do {
     for (std::size_t b = 0; b < config_.backends.size(); ++b) {
-      // Fresh connection per probe: the probe then validates the full
-      // accept -> serve path, not just an already-open socket.
-      const int fd = connect_backend(b);
-      bool alive = false;
-      if (fd >= 0) {
-        std::string response;
-        std::string frame_error;
-        if (write_frame(fd, probe) &&
-            read_frame(fd, response, frame_error) == FrameStatus::kOk) {
-          try {
-            Json doc = Json::parse(response);
-            if (response_ok(doc)) {
-              alive = true;
-              set_backend_stats(b, std::move(doc));
-            }
-          } catch (const std::exception&) {
-            // Unparseable stats: treat the backend as down.
-          }
-        }
-        ::close(fd);
-      }
+      std::optional<Json> doc = probe_stats(b);
+      const bool alive = doc && response_ok(*doc);
+      if (alive) set_backend_stats(b, std::move(*doc));
       mark_backend(b, alive);
     }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (state_cv_.wait_for(lock, interval, [this] { return stopped_; })) {
-      return;
-    }
-  }
+  } while (!listener_.stopped_within(interval));
 }
 
 Json Router::stats_json() const {
@@ -611,14 +384,7 @@ Json Router::stats_json() const {
   doc["reinstatements"] = count(metrics_.reinstatements);
   doc["metrics_scrapes"] = count(metrics_.metrics_scrapes);
 
-  const auto latency = metrics_.route_latency.snapshot();
-  Json lat;
-  lat["count"] = Json(static_cast<double>(latency.total));
-  lat["mean_s"] = Json(latency.mean());
-  lat["p50_s"] = Json(latency.quantile(0.50));
-  lat["p95_s"] = Json(latency.quantile(0.95));
-  lat["p99_s"] = Json(latency.quantile(0.99));
-  doc["route_latency"] = std::move(lat);
+  doc["route_latency"] = latency_json(metrics_.route_latency);
 
   std::vector<char> healthy;
   std::vector<Json> cached;
@@ -628,11 +394,6 @@ Json Router::stats_json() const {
     cached = backend_stats_;
   }
   Json backends;
-  const std::string probe = [] {
-    Json request;
-    request["type"] = Json("stats");
-    return request.dump();
-  }();
   for (std::size_t b = 0; b < config_.backends.size(); ++b) {
     Json entry;
     entry["address"] = Json(config_.backends[b].label());
@@ -644,19 +405,7 @@ Json Router::stats_json() const {
     // health-probe snapshot is the fallback.
     Json stats = cached[b];
     if (healthy[b]) {
-      const int fd = connect_backend(b);
-      if (fd >= 0) {
-        std::string response;
-        std::string frame_error;
-        if (write_frame(fd, probe) &&
-            read_frame(fd, response, frame_error) == FrameStatus::kOk) {
-          try {
-            stats = Json::parse(response);
-          } catch (const std::exception&) {
-          }
-        }
-        ::close(fd);
-      }
+      if (auto live = probe_stats(b)) stats = std::move(*live);
     }
     if (!stats.is_null()) entry["stats"] = std::move(stats);
     backends.push_back(std::move(entry));
@@ -767,12 +516,7 @@ std::string Router::prometheus_text() const {
   return out;
 }
 
-void Router::metrics_loop(Connection* conn) {
-  // Best-effort HTTP: read whatever request bytes arrive (bounded by the
-  // recv timeout), answer one exposition, close. Every scraper speaks this.
-  char buf[1024];
-  while (::recv(conn->fd, buf, sizeof(buf), 0) < 0 && errno == EINTR) {
-  }
+std::string Router::metrics_http_response() {
   metrics_.metrics_scrapes.add();
   const std::string body = prometheus_text();
   std::string response;
@@ -783,11 +527,7 @@ void Router::metrics_loop(Connection* conn) {
   response.append("Content-Length: " + std::to_string(body.size()) + "\r\n");
   response.append("Connection: close\r\n\r\n");
   response.append(body);
-  send_all(conn->fd, response.data(), response.size());
-  // Deliver EOF now: scrapers read until close, and the fd itself is only
-  // reclaimed at the next accept-loop reap, which may be much later.
-  ::shutdown(conn->fd, SHUT_RDWR);
-  conn->done.store(true, std::memory_order_release);
+  return response;
 }
 
 }  // namespace chainnet::serve

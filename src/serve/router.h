@@ -27,18 +27,23 @@
 // typed "upstream_failed" error. Non-eval requests fan out: "load_system"
 // and "reload" go to every backend, "stats" merges the router's own
 // counters with a live per-backend snapshot.
+//
+// Connections run on a serve::Listener (serve/listener.h), the same
+// accept/reader/stop core as serve::Server; the metrics port is a second,
+// one-shot endpoint on it.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/hash_ring.h"
+#include "serve/listener.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "support/json.h"
@@ -105,20 +110,24 @@ class Router {
 
   /// Actually-bound ports (resolve port 0). Valid after start();
   /// metrics_port() is -1 when the metrics listener is disabled.
-  int port() const noexcept { return bound_port_; }
-  int metrics_port() const noexcept { return bound_metrics_port_; }
+  int port() const noexcept { return listener_.port(0); }
+  int metrics_port() const noexcept { return listener_.port(1); }
 
   /// Blocks until a client sends {"type":"shutdown"} or stop() is called;
   /// wait_for is the poll-friendly variant (true = shutdown, false =
   /// timeout).
-  void wait();
-  bool wait_for(std::chrono::milliseconds timeout);
+  void wait() { listener_.wait(); }
+  bool wait_for(std::chrono::milliseconds timeout) {
+    return listener_.wait_for(timeout);
+  }
 
   /// Stops accepting, joins every thread, closes every socket. Idempotent.
-  /// Backends are left running — the router does not own them. A client
-  /// that stopped reading its responses delays stop() by at most two
-  /// kClientSendTimeout periods (serve/protocol.h): the write in flight
-  /// returns short at its timeout, and the next write fails at its own.
+  /// Backends are left running — the router does not own them. Besides the
+  /// requests being handled, two things can hold stop() up. A client that
+  /// stopped reading its responses: two kClientSendTimeout periods after
+  /// the last response byte queued (serve/listener.h has the exact bound).
+  /// A reader waiting on a wedged backend (connected, never answering): up
+  /// to kUpstreamRecvTimeout (30 s) per round trip.
   void stop();
 
   const RouterMetrics& metrics() const noexcept { return metrics_; }
@@ -134,13 +143,12 @@ class Router {
   std::string prometheus_text() const;
 
  private:
-  struct Connection;
-
-  void accept_loop();
-  void reader_loop(Connection* conn);
-  void metrics_loop(Connection* conn);
   void health_loop();
-  void reap_finished_connections();  // conn_mutex_ held
+  /// A fresh-connection `stats` round trip to backend `b`; nullopt when the
+  /// backend cannot be reached or answers with unparseable bytes.
+  std::optional<support::Json> probe_stats(std::size_t b) const;
+  /// The metrics endpoint's whole HTTP reply; counts the scrape.
+  std::string metrics_http_response();
 
   // These return the serialized response payload: a routed eval relays the
   // backend's bytes verbatim instead of re-parsing and re-dumping them.
@@ -177,24 +185,9 @@ class Router {
   std::vector<char> healthy_;                  // GUARDED_BY(health_mutex_)
   std::vector<support::Json> backend_stats_;   // GUARDED_BY(health_mutex_)
 
-  // Lifecycle (mirrors serve::Server).
-  std::mutex state_mutex_;
-  std::condition_variable state_cv_;
-  bool started_ = false;             // GUARDED_BY(state_mutex_)
-  bool stopped_ = false;             // GUARDED_BY(state_mutex_)
-  bool shutdown_requested_ = false;  // GUARDED_BY(state_mutex_)
-
-  int listen_fd_ = -1;
-  int metrics_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  int bound_port_ = 0;
-  int bound_metrics_port_ = -1;
-  std::thread accept_thread_;
   std::thread health_thread_;
-
-  mutable std::mutex conn_mutex_;
-  std::vector<std::unique_ptr<Connection>>
-      connections_;  // GUARDED_BY(conn_mutex_)
+  // Last, so its connection threads are gone before the state they use.
+  Listener listener_{"Router"};
 };
 
 }  // namespace chainnet::serve

@@ -1,16 +1,17 @@
-// TCP serving front end for the concurrent evaluation runtime: an accept
-// loop plus one reader thread per connection speak the length-prefixed JSON
-// protocol of serve/protocol.h; eval requests are microbatched across
-// connections into EvalService::evaluate_batch by a dedicated flusher
-// thread (flush when max_batch placements pend or the oldest has waited
-// flush_window_ms). Admission control bounds the pending queue — a full
-// queue fast-rejects with a typed "overloaded" error — and per-request
-// deadlines drop expired work *before* it reaches an evaluator. stop()
-// shuts down gracefully: stop accepting, drain the pending queue, answer
-// every in-flight request, then join the readers.
+// TCP serving front end for the concurrent evaluation runtime: a
+// serve::Listener (accept thread plus one reader thread per connection)
+// speaks the length-prefixed JSON protocol of serve/protocol.h; eval
+// requests are microbatched across connections into
+// EvalService::evaluate_batch by a dedicated flusher thread (flush when
+// max_batch placements pend or the oldest has waited flush_window_ms).
+// Admission control bounds the pending queue — a full queue fast-rejects
+// with a typed "overloaded" error — and per-request deadlines drop expired
+// work *before* it reaches an evaluator. stop() shuts down gracefully:
+// stop accepting, drain the pending queue, answer every in-flight request,
+// then join the readers.
 //
 // Threading map (all TSan-clean):
-//   accept thread  -> spawns/reaps reader threads
+//   accept thread  -> spawns/reaps reader threads (serve/listener.h)
 //   reader threads -> parse requests, enqueue eval items, wait on the
 //                     request future, write the response (a connection's
 //                     requests are served in order; concurrency comes from
@@ -33,6 +34,7 @@
 #include "edge/placement.h"
 #include "runtime/eval_cache.h"
 #include "runtime/eval_service.h"
+#include "serve/listener.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "tensor/dtype.h"
@@ -84,16 +86,19 @@ class Server {
   void start();
 
   /// The actually-bound port (resolves port 0). Valid after start().
-  int port() const noexcept { return bound_port_; }
+  int port() const noexcept { return listener_.port(0); }
 
   /// Blocks until a client sends {"type":"shutdown"} or stop() is called.
   /// wait_for returns true under the same conditions, false on timeout —
   /// a poll-friendly variant for callers that also watch signals.
-  void wait();
-  bool wait_for(std::chrono::milliseconds timeout);
+  void wait() { listener_.wait(); }
+  bool wait_for(std::chrono::milliseconds timeout) {
+    return listener_.wait_for(timeout);
+  }
 
   /// Graceful shutdown: stop accepting, drain pending evaluations (every
-  /// admitted request is answered), join all threads. Idempotent.
+  /// admitted request is answered), join all threads. Idempotent. Bounded
+  /// as Listener::stop() (serve/listener.h) describes.
   void stop();
 
   const ServerMetrics& metrics() const noexcept { return metrics_; }
@@ -104,13 +109,9 @@ class Server {
  private:
   struct RequestState;
   struct PendingItem;
-  struct Connection;
   using Clock = std::chrono::steady_clock;
 
-  void accept_loop();
-  void reader_loop(Connection* conn);
   void flusher_loop();
-  void reap_finished_connections();  // conn_mutex_ held
 
   support::Json dispatch(const std::string& payload);
   support::Json handle_eval(const support::Json& request);
@@ -132,26 +133,11 @@ class Server {
   std::deque<PendingItem> pending_;  // GUARDED_BY(batch_mutex_)
   bool draining_ = false;            // GUARDED_BY(batch_mutex_)
 
-  // Lifecycle.
-  std::mutex state_mutex_;
-  std::condition_variable state_cv_;
-  bool started_ = false;             // GUARDED_BY(state_mutex_)
-  bool stopped_ = false;             // GUARDED_BY(state_mutex_)
-  bool shutdown_requested_ = false;  // GUARDED_BY(state_mutex_)
-
-  int listen_fd_ = -1;
-  // Self-pipe that stop() writes to so the accept loop's poll() wakes
-  // portably (shutdown() on a listening socket is Linux-specific).
-  int wake_pipe_[2] = {-1, -1};
-  int bound_port_ = 0;
-  std::thread accept_thread_;
   std::thread flusher_thread_;
 
-  std::mutex conn_mutex_;
-  std::vector<std::unique_ptr<Connection>>
-      connections_;  // GUARDED_BY(conn_mutex_)
-
   ServerMetrics metrics_;
+  // Last, so its connection threads are gone before the state they use.
+  Listener listener_{"Server"};
 };
 
 }  // namespace chainnet::serve

@@ -8,13 +8,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -237,52 +234,6 @@ TEST(Router, PrometheusEndpointServesParseableText) {
   EXPECT_NE(body.find("chainnet_router_requests_total"), std::string::npos);
   EXPECT_NE(body.find("chainnet_router_backend_up{"), std::string::npos);
   EXPECT_GE(fx.router->metrics().metrics_scrapes.value(), 1u);
-}
-
-TEST(Router, StopReturnsWhileAClientStopsReading) {
-  Fixture fx;
-  // A client that pipelines eval requests and never reads its responses.
-  // The small receive buffer keeps its TCP window from absorbing them.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  const int rcvbuf = 4096;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  // A client send that makes no progress for this long means the router
-  // has stopped reading requests: it is blocked writing a response.
-  const timeval stall{0, 200 * 1000};
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &stall, sizeof(stall));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(fx.router->port()));
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  // The backends answer an eval for an unloaded system at once with an
-  // error that quotes the system name, so a 1 MiB name makes every
-  // response 1 MiB. The router's send buffer fills after a dozen requests,
-  // and a response that large is still mid-write when stop() runs.
-  const std::string request =
-      make_eval_request(fx.placements, std::string(1 << 20, 'x'), 0.0).dump();
-  constexpr int kMaxFrames = 1000;
-  int frames = 0;
-  while (frames < kMaxFrames && write_frame(fd, request)) ++frames;
-  ASSERT_LT(frames, kMaxFrames) << "the router never stopped reading";
-
-  // The documented bound: the response write in flight returns short at
-  // its send timeout, and the next write then fails at its own. The extra
-  // seconds are scheduling slack.
-  constexpr auto kStopBound =
-      2 * kClientSendTimeout + std::chrono::seconds(3);
-  auto stopped = std::async(std::launch::async, [&fx] { fx.router->stop(); });
-  const bool in_time =
-      stopped.wait_for(kStopBound) == std::future_status::ready;
-  // Closing with unread data resets the connection, which releases a
-  // router still blocked in send, so a failing run cannot hang the test.
-  ::close(fd);
-  stopped.get();
-  EXPECT_TRUE(in_time) << "Router::stop() blocked on a client that stopped "
-                          "reading after "
-                       << frames << " pipelined requests";
 }
 
 TEST(Router, PlacementAffinitySpreadsOneSystemButCoLocatesPairs) {
