@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark): DES event throughput, graph
 // construction, ChainNet / GAT inference latency (the paper quotes ~0.01 s
-// per graph, §VIII-B3), and a full surrogate evaluation (graph build +
-// forward) as used inside the SA loop.
+// per graph, §VIII-B3), a full surrogate evaluation (graph build +
+// forward) as used inside the SA loop, and the f64 gemm kernel on the
+// model's GEMM shapes (GMAC/s on the dispatched ISA tier; force a tier with
+// CHAINNET_KERNEL_ISA=baseline|avx2|avx512).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/chainnet.h"
 #include "core/surrogate.h"
@@ -15,6 +18,7 @@
 #include "optim/initial.h"
 #include "queueing/simulator.h"
 #include "support/rng.h"
+#include "tensor/kernels.h"
 
 namespace {
 
@@ -149,6 +153,41 @@ void BM_SimulationEvaluation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulationEvaluation)->Unit(benchmark::kMillisecond);
+
+void BM_Gemm(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  support::Rng rng(rows * cols + n);
+  const auto random = [&rng](std::size_t count) {
+    std::vector<double> v(count);
+    for (auto& e : v) e = rng.uniform(-1.0, 1.0);
+    return v;
+  };
+  const auto w = random(rows * cols);
+  const auto bias = random(rows);
+  const auto x = random(cols * n);
+  std::vector<double> y(rows * n);
+  for (auto _ : state) {
+    tensor::kernels::gemm(w.data(), bias.data(), x.data(), y.data(), rows,
+                          cols, n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GMAC/s"] = benchmark::Counter(
+      static_cast<double>(rows * cols * n) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(tensor::kernels::isa());
+}
+// The model's GEMM shapes at paper width (h = 64): GRU input and hidden
+// gate panels (3h x 2h, 3h x h), the attention joint projection (h x 3h)
+// and the message transform (2h x 2h); n spans a best-of-B sub-batch (4)
+// up to a wide device/message panel (336).
+BENCHMARK(BM_Gemm)
+    ->ArgsProduct({{192}, {128, 64}, {4, 16, 48, 336}})
+    ->ArgsProduct({{64}, {192}, {4, 16, 48, 336}})
+    ->ArgsProduct({{128}, {128}, {4, 16, 48, 336}})
+    ->ArgNames({"rows", "cols", "n"});
 
 }  // namespace
 

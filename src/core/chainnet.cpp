@@ -793,9 +793,11 @@ struct ChainNet::Impl : Module {
   // kernels, with every buffer an offset into one arena. The
   // fragment/device panels are double-buffered across iterations (offsets
   // baked per iteration by the compiler), which deletes the interpreted
-  // path's per-iteration snapshot copies; everything else is the identical
-  // kernel-call sequence, so f64 replay is bit-for-bit equal to the
-  // reference executor (plan_test, bench_infer parity gate).
+  // path's per-iteration snapshot copies. The batch chain pass runs one
+  // wave per step position (the k-th steps of all chains as one GEMM
+  // pass); every element still goes through the same kernel chain, so f64
+  // replay is bit-for-bit equal to the reference executor (plan_test,
+  // bench_infer parity gate).
   //
   // One executor serves every inference tier (DESIGN.md §15): replay_*
   // are templates on the element type T, instantiated for double (kF64)
@@ -1230,26 +1232,43 @@ struct ChainNet::Impl : Module {
                                   Activation::kTanh);
           break;
         }
-        case gnn::PlanOpKind::kBatchGruChainStep: {
-          const auto su = static_cast<std::size_t>(op.a);
-          T* m_c = A + L.m_c;
-          std::copy_n(A + op.in1, hW, m_c);
-          const int* cols = geo_.device_col.data() + su * B;
-          for (std::size_t r = 0; r < h; ++r) {
-            const T* src = A + op.aux + r * D;
-            T* dst = m_c + (h + r) * B;
-            for (std::size_t b = 0; b < B; ++b) dst[b] = src[cols[b]];
+        case gnn::PlanOpKind::kBatchChainWave: {
+          // Eqs. 4-7 for the k-th step of every chain at once, as one
+          // n = chains*B column pass per GRU. Every column is gathered
+          // before any is written: a single-step chain's carried state is
+          // the sas panel this wave writes.
+          const auto& wave = p.waves[static_cast<std::size_t>(op.a)];
+          const std::size_t n = wave.size() * B;
+          T* state = A + L.hs;        // [h x n] chain state, then phi_f out
+          T* c_out = state + h * n;   // [h x n] phi_c out, then frag_prev
+          T* m = A + L.m_c;           // [2h x n] [frag_prev || device]
+          for (std::size_t w = 0; w < wave.size(); ++w) {
+            const gnn::PlanWaveColumn& col = wave[w];
+            const int* dcols =
+                geo_.device_col.data() + static_cast<std::size_t>(col.step) * B;
+            for (std::size_t r = 0; r < h; ++r) {
+              std::copy_n(A + col.in0 + r * B, B, state + r * n + w * B);
+              std::copy_n(A + col.in1 + r * B, B, m + r * n + w * B);
+              const T* src = A + op.aux + r * D;
+              T* dst = m + (h + r) * n + w * B;
+              for (std::size_t b = 0; b < B; ++b) dst[b] = src[dcols[b]];
+            }
           }
-          T* sas_row = A + L.sas + su * hW;
-          // Stage the carried chain state (see replay_scalar): a
-          // single-step chain's carried panel is this sas panel, and the
-          // batched GRU forbids h aliasing h_out.
-          std::copy_n(A + op.in0, hW, A + L.hs);
-          phi_c->forward_values_batch(A + L.hs, m_c, sas_row, B, bws_.gru,
+          phi_c->forward_values_batch(state, m, c_out, n, bws_.gru,
                                       config.dtype);
-          std::copy_n(sas_row, hW, m_c);
-          phi_f->forward_values_batch(A + op.in1, m_c, A + op.out, B,
-                                      bws_.gru, config.dtype);
+          // m becomes [service_at_step || device] (eq. 7's message) and
+          // c_out keeps fragment_prev for phi_f's h input.
+          std::swap_ranges(c_out, c_out + h * n, m);
+          phi_f->forward_values_batch(c_out, m, state, n, bws_.gru,
+                                      config.dtype);
+          for (std::size_t w = 0; w < wave.size(); ++w) {
+            const gnn::PlanWaveColumn& col = wave[w];
+            T* sas = A + L.sas + static_cast<std::size_t>(col.step) * hW;
+            for (std::size_t r = 0; r < h; ++r) {
+              std::copy_n(m + r * n + w * B, B, sas + r * B);
+              std::copy_n(state + r * n + w * B, B, A + col.out + r * B);
+            }
+          }
           break;
         }
         case gnn::PlanOpKind::kBatchGatherMessages: {

@@ -17,7 +17,7 @@ const char* plan_op_name(PlanOpKind kind) {
     case PlanOpKind::kBatchEncodeService: return "BatchEncodeService";
     case PlanOpKind::kBatchEncodeFragment: return "BatchEncodeFragment";
     case PlanOpKind::kBatchEncodeDevices: return "BatchEncodeDevices";
-    case PlanOpKind::kBatchGruChainStep: return "BatchGruChainStep";
+    case PlanOpKind::kBatchChainWave: return "BatchChainWave";
     case PlanOpKind::kBatchGatherMessages: return "BatchGatherMessages";
     case PlanOpKind::kBatchAggregateInit: return "BatchAggregateInit";
     case PlanOpKind::kBatchAttentionJoints: return "BatchAttentionJoints";
@@ -58,6 +58,13 @@ std::string Plan::dump() const {
     out += field("in1", op.in1);
     out += field("out", op.out);
     out += field("aux", op.aux);
+    if (op.kind == PlanOpKind::kBatchChainWave) {
+      for (const PlanWaveColumn& col :
+           waves[static_cast<std::size_t>(op.a)]) {
+        out += " [step=" + std::to_string(col.step) + field("in0", col.in0) +
+               field("in1", col.in1) + field("out", col.out) + "]";
+      }
+    }
     out += "\n";
   }
   return out;

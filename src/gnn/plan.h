@@ -47,8 +47,8 @@ enum class PlanOpKind : std::uint8_t {
   kBatchEncodeService,   ///< a=chain, out=service panel
   kBatchEncodeFragment,  ///< a=step, out=fragment panel
   kBatchEncodeDevices,   ///< out=device panel base
-  kBatchGruChainStep,    ///< a=step, in0=h_in, in1=frag_prev panel,
-                         ///< out=frag panel, aux=device read base
+  kBatchChainWave,       ///< a=wave index into Plan::waves,
+                         ///< aux=device read base
   kBatchGatherMessages,  ///< in0=frag read base
   kBatchAggregateInit,   ///< per-group copy / mean / zero into m_d
   kBatchAttentionJoints, ///< in1=dev read base
@@ -67,6 +67,15 @@ struct PlanOp {
   std::int32_t in1 = -1;  ///< secondary input offset
   std::int32_t out = -1;  ///< output offset
   std::int32_t aux = -1;  ///< extra offset (device read-buffer base)
+};
+
+/// One column block of a chain wave: the chain whose k-th step this is.
+/// Offsets index the arena like PlanOp's; each names a [h x W] panel.
+struct PlanWaveColumn {
+  std::int32_t step = -1;  ///< fragment id of the chain's k-th step
+  std::int32_t in0 = -1;   ///< carried chain state (service or last sas)
+  std::int32_t in1 = -1;   ///< fragment_prev panel (read buffer)
+  std::int32_t out = -1;   ///< fragment panel (write buffer)
 };
 
 /// The topology half of a plan key: exactly the fields
@@ -118,8 +127,11 @@ struct PlanLayout {
   std::int32_t frag0 = -1, frag1 = -1;
   std::int32_t sas = -1;  ///< service-at-step rows (eq. 8 / eq. 10 inputs)
   std::int32_t dev0 = -1, dev1 = -1;
-  std::int32_t hs = -1;      ///< chain-state staging row (phi_c h input)
-  std::int32_t m_c = -1;     ///< chain-pass message panel
+  /// Chain-state staging (phi_c h input). Scalar: one row. Batch: two
+  /// [h x C*W] wave panels, the gathered chain state (later phi_f's
+  /// output) and phi_c's output (later fragment_prev).
+  std::int32_t hs = -1;
+  std::int32_t m_c = -1;     ///< chain-pass message panel (batch: C*W cols)
   std::int32_t m_d = -1;     ///< aggregated device-message panel
   std::int32_t dmsgs = -1;   ///< scalar: per-device message rows
   std::int32_t h_latency = -1, scalar_out = -1;  ///< scalar readout
@@ -148,6 +160,9 @@ struct Plan {
   PlanMeta meta;
   PlanLayout layout;
   std::vector<PlanOp> ops;
+  /// Column tables of the kBatchChainWave ops, one per (iteration, step
+  /// position k): every chain with a k-th step, in chain order.
+  std::vector<std::vector<PlanWaveColumn>> waves;
   /// Per-chain offset of the final service embedding (the row the
   /// throughput readout consumes): the chain's last sas row, or its
   /// encoded service row for an empty sequence.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace chainnet::gnn {
 
@@ -33,22 +34,32 @@ int count_steps(const PlanTopology& topology) {
   return static_cast<int>(steps);
 }
 
-/// Emits the per-iteration body shared by both flavors: chain-pass GRU
-/// steps (scalar and batch differ only in op kind and row stride) followed
-/// by the flavor-specific device pass, with the fragment/device panels
-/// double-buffered across iterations. `row` is the per-entity row width
-/// (h for scalar, h*W for batch).
-void emit_iterations(const PlanKey& key, const PlanLayout& layout,
-                     std::int64_t row, std::int64_t dev_row, bool batch,
-                     std::vector<PlanOp>& ops,
-                     std::vector<std::int32_t>& chain_final) {
+/// Emits the per-iteration body: the chain pass followed by the
+/// flavor-specific device pass, with the fragment/device panels
+/// double-buffered across iterations. The scalar chain pass is one
+/// kGruChainStep per step; the batch chain pass is one kBatchChainWave per
+/// step position k, whose column table lists every chain with a k-th step
+/// (Algorithm 2 reads only the previous iteration's fragment and device
+/// panels, so the k-th steps of all chains are independent). `row` is the
+/// per-entity row width (h for scalar, h*W for batch).
+void emit_iterations(std::int64_t row, bool batch, Plan& plan) {
+  const PlanKey& key = plan.key;
+  const PlanLayout& layout = plan.layout;
+  std::vector<PlanOp>& ops = plan.ops;
+  std::vector<std::int32_t>& chain_final = plan.chain_final;
   const auto C = static_cast<std::size_t>(key.topology.num_chains);
+  std::size_t longest = 0;
+  for (const auto& seq : key.topology.sequences) {
+    longest = std::max(longest, seq.size());
+  }
   // The chain state carries ACROSS iterations (the interpreted walk writes
   // hs back into service[i] at the end of each chain pass): iteration 0
   // starts from the encoded service row, every later iteration from the
   // chain's last service-at-step row of the previous one. The executors
-  // stage in0 through layout.hs before the GRU, so a single-step chain —
-  // whose carried row IS its output row — never aliases h with h_out.
+  // stage in0 before the GRU (scalar: copy through layout.hs; batch: the
+  // wave gathers every column before it writes any), so a single-step
+  // chain — whose carried row IS its output row — never aliases h with
+  // h_out.
   chain_final.assign(C, -1);
   for (std::size_t i = 0; i < C; ++i) {
     chain_final[i] = layout.service + static_cast<std::int32_t>(i * row);
@@ -59,21 +70,23 @@ void emit_iterations(const PlanKey& key, const PlanLayout& layout,
     const std::int32_t fw = odd ? layout.frag0 : layout.frag1;
     const std::int32_t dr = odd ? layout.dev1 : layout.dev0;
     const std::int32_t dw = odd ? layout.dev0 : layout.dev1;
-    for (std::size_t i = 0; i < C; ++i) {
-      for (int s : key.topology.sequences[i]) {
-        PlanOp op;
-        op.kind = batch ? PlanOpKind::kBatchGruChainStep
-                        : PlanOpKind::kGruChainStep;
-        op.a = s;
-        op.in0 = chain_final[i];
-        op.in1 = fr + static_cast<std::int32_t>(s * row);
-        op.out = fw + static_cast<std::int32_t>(s * row);
-        op.aux = dr;
-        ops.push_back(op);
-        chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
-      }
-    }
     if (batch) {
+      for (std::size_t k = 0; k < longest; ++k) {
+        std::vector<PlanWaveColumn> wave;
+        for (std::size_t i = 0; i < C; ++i) {
+          const auto& seq = key.topology.sequences[i];
+          if (k >= seq.size()) continue;
+          const auto s = static_cast<std::int32_t>(seq[k]);
+          wave.push_back(PlanWaveColumn{
+              s, chain_final[i], fr + static_cast<std::int32_t>(s * row),
+              fw + static_cast<std::int32_t>(s * row)});
+          chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
+        }
+        ops.push_back(PlanOp{PlanOpKind::kBatchChainWave,
+                             static_cast<std::int32_t>(plan.waves.size()),
+                             -1, -1, -1, dr});
+        plan.waves.push_back(std::move(wave));
+      }
       ops.push_back(
           PlanOp{PlanOpKind::kBatchGatherMessages, -1, fr, -1, -1, -1});
       ops.push_back(
@@ -89,9 +102,21 @@ void emit_iterations(const PlanKey& key, const PlanLayout& layout,
       ops.push_back(
           PlanOp{PlanOpKind::kBatchGruDevice, -1, dr, -1, dw, -1});
     } else {
+      for (std::size_t i = 0; i < C; ++i) {
+        for (int s : key.topology.sequences[i]) {
+          PlanOp op;
+          op.kind = PlanOpKind::kGruChainStep;
+          op.a = s;
+          op.in0 = chain_final[i];
+          op.in1 = fr + static_cast<std::int32_t>(s * row);
+          op.out = fw + static_cast<std::int32_t>(s * row);
+          op.aux = dr;
+          ops.push_back(op);
+          chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
+        }
+      }
       ops.push_back(PlanOp{PlanOpKind::kDevicePass, -1, fr, dr, dw, -1});
     }
-    (void)dev_row;
   }
 }
 
@@ -141,8 +166,11 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   L.sas = arena.region(S * row);
   L.dev0 = arena.region(h * dev_cap);
   L.dev1 = arena.region(h * dev_cap);
-  L.hs = arena.region(row);
-  L.m_c = arena.region(2 * row);
+  // A batch wave stages at most one W-column block per chain, so each of
+  // its staging panels is [h x C*W].
+  const std::int64_t wave_panel = batch ? C * row : row;
+  L.hs = arena.region(batch ? 2 * wave_panel : row);
+  L.m_c = arena.region(2 * wave_panel);
   L.m_d = arena.region(batch ? 2 * h * dev_cap : 2 * h);
   if (batch) {
     L.messages = arena.region(2 * h * M);
@@ -190,7 +218,7 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
     ops.push_back(op);
   }
 
-  emit_iterations(key, L, row, h, batch, ops, plan->chain_final);
+  emit_iterations(row, batch, *plan);
 
   // After the last iteration the live fragment buffer is frag[N % 2].
   const std::int32_t frag_final =

@@ -60,8 +60,12 @@ int listen_on(const std::string& name, const std::string& host, int port,
   return fd;
 }
 
-/// The connection loop of a framed endpoint.
-void serve_frames(const Endpoint& endpoint, int fd) {
+/// The connection loop of a framed endpoint. It exits after the reply in
+/// flight once `stopping` is set: the half-close stop() issues does not
+/// discard bytes on Linux, so a peer that keeps pipelining requests (and
+/// reading the replies) would otherwise keep the reader serving forever.
+void serve_frames(const Endpoint& endpoint, int fd,
+                  const std::atomic<bool>& stopping) {
   using Clock = std::chrono::steady_clock;
   const FrameCounters& counters = endpoint.counters;
   const FrameHandler handle = endpoint.session();
@@ -91,7 +95,7 @@ void serve_frames(const Endpoint& endpoint, int fd) {
     const bool written = write_frame(fd, response);
     counters.latency->record(
         std::chrono::duration<double>(Clock::now() - start).count());
-    if (!written) break;
+    if (!written || stopping.load(std::memory_order_acquire)) break;
   }
 }
 
@@ -200,11 +204,13 @@ void Listener::stop(const std::function<void()>& after_accept) {
   if (after_accept) after_accept();
 
   // 3. Half-close the connections (SHUT_RD): a reader blocked in recv sees
-  //    EOF at once; one still handling or writing a response finishes it,
-  //    then reads what its peer had already sent, then 0. Every socket
-  //    carries SO_SNDTIMEO, so a peer that stopped reading (zero TCP
-  //    window) fails the blocked write within two kClientSendTimeout
-  //    periods of the last byte it queued, and the reader exits.
+  //    EOF at once (or reads one frame its peer had already queued); one
+  //    still handling or writing a response finishes it, then sees
+  //    stopping_ and exits. Every socket carries SO_SNDTIMEO, so a peer
+  //    that stopped reading (zero TCP window) fails the blocked write
+  //    within two kClientSendTimeout periods of the last byte it queued,
+  //    and the reader exits.
+  stopping_.store(true, std::memory_order_release);
   for (auto& conn : connections_) {
     if (!conn->done.load(std::memory_order_acquire)) {
       ::shutdown(conn->fd, SHUT_RD);
@@ -268,9 +274,9 @@ void Listener::admit(const Open& endpoint, int fd) {
   conn->fd = fd;
   Connection* raw = conn.get();
   try {
-    conn->thread = std::thread([&spec, raw] {
+    conn->thread = std::thread([this, &spec, raw] {
       if (spec.session) {
-        serve_frames(spec, raw->fd);
+        serve_frames(spec, raw->fd, stopping_);
       } else {
         serve_one_shot(spec, raw->fd);
       }

@@ -18,6 +18,7 @@
 //   connection threads -> one per accepted socket, blocking I/O
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -97,8 +98,10 @@ class Listener {
   /// half-closes every connection (SHUT_RD), joins its thread and closes
   /// it. Idempotent; a no-op unless started.
   ///
-  /// Bound: a reader finishes the request it is handling, and any its peer
-  /// had already sent (the half-close keeps queued bytes), then sees EOF.
+  /// Bound: a reader finishes the request it is handling (or, if it was
+  /// waiting for one, the first its peer had already queued: the
+  /// half-close keeps queued bytes), then exits; a peer that keeps
+  /// pipelining cannot hold it.
   /// A reply write to a peer that stopped reading fails at the first send
   /// call that queues nothing within kClientSendTimeout (serve/protocol.h),
   /// so it ends two send timeouts after the last byte it queued: usually
@@ -130,6 +133,9 @@ class Listener {
   int wake_pipe_[2] = {-1, -1};
   // Accept thread only, then stop() once it has joined that thread.
   std::vector<std::unique_ptr<Connection>> connections_;
+  // Set by stop() before it half-closes the connections; framed readers
+  // exit after the reply in flight once they see it.
+  std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 };
 

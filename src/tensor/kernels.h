@@ -1,5 +1,5 @@
 // Dense inference kernels for the surrogate hot path: a row-blocked
-// multi-accumulator GEMV and a batch-column GEMM.
+// multi-accumulator GEMV and a register-tiled batch-column GEMM.
 //
 // All kernels make one guarantee the rest of the inference engine is built
 // on: **per-output-element accumulation order is fixed** — each output
@@ -10,6 +10,17 @@
 // reassociates a single element's sum. That is what keeps the fused GRU
 // path, the batched multi-placement path, and the pre-fusion reference
 // bit-for-bit identical (pinned by kernels_test and chainnet_batch_test).
+//
+// The FMA tiers' GEMM works in row x column register tiles: AVX-512 runs
+// 4 rows x 32 columns (16 zmm accumulators), 4x16 and 8x8; AVX2 runs 2x16
+// and 4x8; both run 8 rows x 4 columns for narrow batches and single rows
+// for the remainder (the f32 tiles are one lane-width wider). A tile loads
+// each x vector once for all its rows and broadcasts each weight once for
+// all its columns, so it keeps many independent FMA chains in flight even
+// at n = 4. Every accumulator is still one output element's own chain —
+// bias first, then its products in ascending input order, one FMA each —
+// so a tile's shape changes how many chains run at once, never any
+// element's rounding.
 //
 // ISA dispatch: the implementation picks, once per process, the widest
 // variant the host supports — baseline x86-64 (SSE2, no FMA), AVX2+FMA, or

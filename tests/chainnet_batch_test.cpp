@@ -1,7 +1,8 @@
 // Bit-exactness contract of the batched and fused inference paths:
 //  * forward_values_batch column b must equal forward_values on graphs[b]
 //    EXACTLY (EXPECT_EQ on doubles) for B in {1, 2, 7, 32}, on every
-//    ablation configuration and every element type (f64, f32, bf16) — the
+//    ablation configuration and every element type (f64, f32, bf16), on a
+//    paper-sized system and on one with ragged chain lengths — the
 //    lock-stepped batch-major engine may not perturb a single placement's
 //    numbers;
 //  * the fused-kernel path must equal the pre-fusion reference path
@@ -90,21 +91,32 @@ struct NamedConfig {
 std::vector<NamedConfig> all_configs() {
   ChainNetConfig no_attention;
   no_attention.attention_aggregation = false;
+  ChainNetConfig unfused;
+  unfused.fused_kernels = false;
   return {{"chainnet", ChainNetConfig{}},
           {"alpha", ChainNetConfig::ablation_alpha()},
           {"beta", ChainNetConfig::ablation_beta()},
           {"delta", ChainNetConfig::ablation_delta()},
-          {"mean_agg", no_attention}};
+          {"mean_agg", no_attention},
+          {"unfused", unfused}};
 }
 
-/// (batch width, element type): every inference tier carries the same
-/// batch == scalar contract, bit for bit within the tier.
+/// The paper-sized generated system, or the hand-built ragged one whose
+/// chains of 1, 1, 2, 7 and 13 steps make the batched chain pass run
+/// waves of every width from 5 chains down to 1.
+enum class TestSystem { kPaper, kRagged };
+
+/// (batch width, element type, system): every inference tier carries the
+/// same batch == scalar contract, bit for bit within the tier.
 class BatchSizeSweep
-    : public ::testing::TestWithParam<std::tuple<int, tensor::DType>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, tensor::DType, TestSystem>> {};
 
 TEST_P(BatchSizeSweep, MatchesScalarOnEveryConfig) {
-  const auto [batch, dtype] = GetParam();
-  const auto system = medium_system(42);
+  const auto [batch, dtype, which] = GetParam();
+  const auto system = which == TestSystem::kRagged
+                          ? chainnet::testing::ragged_system()
+                          : medium_system(42);
   const auto placements = random_placements(system, batch, 7);
   for (const auto& named : all_configs()) {
     auto cfg = named.cfg;
@@ -123,10 +135,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 7, 32),
                        ::testing::Values(tensor::DType::kF64,
                                          tensor::DType::kF32,
-                                         tensor::DType::kBf16)),
+                                         tensor::DType::kBf16),
+                       ::testing::Values(TestSystem::kPaper,
+                                         TestSystem::kRagged)),
     [](const ::testing::TestParamInfo<BatchSizeSweep::ParamType>& sweep) {
       return "B" + std::to_string(std::get<0>(sweep.param)) + "_" +
-             tensor::dtype_name(std::get<1>(sweep.param));
+             tensor::dtype_name(std::get<1>(sweep.param)) +
+             (std::get<2>(sweep.param) == TestSystem::kRagged ? "_ragged"
+                                                              : "_paper");
     });
 
 TEST(ChainNetBatch, RepeatedLanesAgree) {

@@ -87,13 +87,15 @@ void expect_gemm_matches_gemv(std::size_t rows, std::size_t cols,
 TEST(KernelsF32, GemmColumnsMatchGemvBitExact) {
   // n sweeps every f32 tile width (64/32/16/8/4 plus scalar remainders)
   // with remainders on both sides of each boundary; n > 64 additionally
-  // exercises the packed-panel path. Rows sweep the 2- and 4-row block
-  // remainders the row-blocked tiles introduce.
-  for (const std::size_t n :
-       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 48u,
-        63u, 64u, 65u, 89u, 128u}) {
-    expect_gemm_matches_gemv(6, 33, n, true);
-    expect_gemm_matches_gemv(6, 33, n, false);
+  // exercises the packed-panel path. rows sweeps the 2-, 4- and 8-row
+  // register blocks, full and with single-row remainders.
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 13u}) {
+    for (const std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 48u,
+          63u, 64u, 65u, 89u, 128u}) {
+      expect_gemm_matches_gemv(rows, 33, n, true);
+      expect_gemm_matches_gemv(rows, 33, n, false);
+    }
   }
   for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     expect_gemm_matches_gemv(rows, 19, 32, true);

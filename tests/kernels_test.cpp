@@ -74,12 +74,15 @@ void expect_gemm_matches_gemv(std::size_t rows, std::size_t cols,
 TEST(Kernels, GemmColumnsMatchGemvBitExact) {
   // n sweeps every tile width (32/16/8/4/2/1) with remainders on both sides
   // of each boundary; n > the top tile width additionally exercises the
-  // packed-panel path of the wide tiles.
-  for (const std::size_t n :
-       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u,
-        64u, 89u}) {
-    expect_gemm_matches_gemv(6, 33, n, true);
-    expect_gemm_matches_gemv(6, 33, n, false);
+  // packed-panel path of the wide tiles. rows sweeps the 2-, 4- and 8-row
+  // register blocks, full and with single-row remainders.
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 13u}) {
+    for (const std::size_t n :
+         {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u, 33u, 40u,
+          64u, 89u}) {
+      expect_gemm_matches_gemv(rows, 33, n, true);
+      expect_gemm_matches_gemv(rows, 33, n, false);
+    }
   }
   // Shapes from the real model: stacked GRU gate panels and attention
   // projections at paper width, with a wide batch panel.

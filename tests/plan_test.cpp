@@ -2,7 +2,8 @@
 // rests on.
 //  * Parity gate: plan replay (forward_values / forward_values_batch) must
 //    equal the interpreted Algorithm-2 reference executor bit-for-bit, on
-//    every ablation configuration and every B in {1, 2, 7, 32};
+//    every ablation configuration and every B in {1, 2, 7, 32}, on a
+//    paper-sized system and on one with ragged chain lengths;
 //  * Cache keying: placement-only and weight-only mutations never
 //    recompile, a topology change does, and distinct batch widths compile
 //    distinct plans;
@@ -24,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/chainnet.h"
@@ -38,6 +40,7 @@
 #include "serve/registry.h"
 #include "support/rng.h"
 #include "tensor/serialize.h"
+#include "test_util.h"
 
 namespace chainnet::core {
 namespace {
@@ -112,11 +115,22 @@ std::vector<NamedConfig> all_configs() {
           {"unfused", unfused}};
 }
 
-class PlanParitySweep : public ::testing::TestWithParam<int> {};
+/// The paper-sized generated system, or the hand-built ragged one whose
+/// chains of 1, 1, 2, 7 and 13 steps make the batched chain pass run
+/// waves of every width from 5 chains down to 1.
+enum class TestSystem { kPaper, kRagged };
+
+edge::EdgeSystem test_system(TestSystem which) {
+  return which == TestSystem::kRagged ? chainnet::testing::ragged_system()
+                                      : medium_system(42);
+}
+
+class PlanParitySweep
+    : public ::testing::TestWithParam<std::tuple<int, TestSystem>> {};
 
 TEST_P(PlanParitySweep, ReplayMatchesInterpretedOnEveryConfig) {
-  const int batch = GetParam();
-  const auto system = medium_system(42);
+  const auto [batch, which] = GetParam();
+  const auto system = test_system(which);
   const auto placements = random_placements(system, batch, 7);
   for (const auto& named : all_configs()) {
     auto cfg = named.cfg;
@@ -148,8 +162,39 @@ TEST_P(PlanParitySweep, ReplayMatchesInterpretedOnEveryConfig) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, PlanParitySweep,
-                         ::testing::Values(1, 2, 7, 32));
+INSTANTIATE_TEST_SUITE_P(
+    Widths, PlanParitySweep,
+    ::testing::Combine(::testing::Values(1, 2, 7, 32),
+                       ::testing::Values(TestSystem::kPaper,
+                                         TestSystem::kRagged)),
+    [](const ::testing::TestParamInfo<PlanParitySweep::ParamType>& sweep) {
+      return "B" + std::to_string(std::get<0>(sweep.param)) +
+             (std::get<1>(sweep.param) == TestSystem::kRagged ? "_ragged"
+                                                              : "_paper");
+    });
+
+TEST(PlanCompiler, RaggedChainsCompileOneWavePerStepPosition) {
+  const auto system = chainnet::testing::ragged_system();
+  const auto placements = random_placements(system, 1, 5);
+  gnn::PlanShape shape;
+  shape.hidden = 8;
+  shape.iterations = 2;
+  shape.attention_heads = 1;
+  const auto graph = edge::build_graph(system, placements[0],
+                                       edge::FeatureMode::kModified);
+  const auto plan = gnn::compile_plan(graph, shape, 4);
+  // 13 step positions per iteration; wave k holds the chains longer than k.
+  ASSERT_EQ(plan->waves.size(), 26u);
+  const std::size_t widths[] = {5, 3, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1};
+  for (std::size_t k = 0; k < 26; ++k) {
+    EXPECT_EQ(plan->waves[k].size(), widths[k % 13]) << "wave " << k;
+  }
+  std::size_t wave_ops = 0;
+  for (const gnn::PlanOp& op : plan->ops) {
+    wave_ops += op.kind == gnn::PlanOpKind::kBatchChainWave;
+  }
+  EXPECT_EQ(wave_ops, 26u);
+}
 
 TEST(PlanCache, PlacementMutationsNeverRecompile) {
   const auto system = medium_system(42);
@@ -446,7 +491,7 @@ TEST(PlanDump, ListsOpsAndScratchAccounting) {
   EXPECT_NE(text.find("scratch:"), std::string::npos) << text;
 
   const auto batched = gnn::compile_plan(graph, shape, 32);
-  EXPECT_NE(batched->dump().find("BatchGruChainStep"), std::string::npos);
+  EXPECT_NE(batched->dump().find("BatchChainWave"), std::string::npos);
   EXPECT_NE(scalar->fingerprint, batched->fingerprint)
       << "width is part of the plan key";
 }

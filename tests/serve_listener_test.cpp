@@ -2,8 +2,9 @@
 // through each of them: Server alone, and Router in front of a Server.
 //
 // HostilePeer: a peer that stops reading, sends half a length prefix or
-// half a payload, half-closes mid-frame, or connects and idles. Each case
-// asserts that stop() returns within its documented bound.
+// half a payload, half-closes mid-frame, connects and idles, or keeps
+// pipelining requests while it reads the replies. Each case asserts that
+// stop() returns within its documented bound.
 //
 // FdExhaustion: idle clients use up every descriptor while a connection is
 // queued, so accept() fails with EMFILE. The accept loop must neither spin
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -361,6 +363,50 @@ TEST_P(HostilePeer, HalfCloseMidFrame) {
 TEST_P(HostilePeer, ConnectsAndIdles) {
   const int fd = accepted_peer();
   EXPECT_TRUE(stops_within(kPromptStop, fd)) << elapsed_s() << " s";
+}
+
+TEST_P(HostilePeer, PipelinesAcrossStop) {
+  // One thread writes pings as fast as the front-end takes them, another
+  // reads every reply: the front-end's writes never block and a request is
+  // always queued. The half-close keeps queued bytes (and takes new ones),
+  // so only the reader's own stop check can end it.
+  const int fd = accepted_peer();
+  std::atomic<bool> done{false};
+  std::atomic<int> replies{0};
+  std::thread writer([fd, &done] {
+    const std::string ping = R"({"type":"ping"})";
+    while (!done.load() && write_frame(fd, ping)) {
+    }
+  });
+  std::thread reader([fd, &replies] {
+    std::string payload;
+    std::string error;
+    while (read_frame(fd, payload, error) == FrameStatus::kOk) {
+      replies.fetch_add(1);
+    }
+  });
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (replies.load() < 100 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  EXPECT_GE(replies.load(), 100) << "the peer's pings went unanswered";
+
+  auto stopped = std::async(std::launch::async, [this] { fleet_.stop(); });
+  const auto start = Clock::now();
+  const bool in_time = stopped.wait_for(std::chrono::seconds(3)) ==
+                       std::future_status::ready;
+  elapsed_ = Clock::now() - start;
+  // Release a stop() still serving the peer, so a failing run cannot hang:
+  // the shutdown wakes both peer threads, and closing with unread replies
+  // resets the connection under the front-end's reader.
+  done.store(true);
+  ::shutdown(fd, SHUT_RDWR);
+  writer.join();
+  reader.join();
+  ::close(fd);
+  stopped.get();
+  EXPECT_TRUE(in_time) << "stop() kept serving a pipelining peer for "
+                       << elapsed_s() << " s";
 }
 
 INSTANTIATE_TEST_SUITE_P(FrontEnds, HostilePeer,

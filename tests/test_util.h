@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "edge/model.h"
@@ -69,6 +70,29 @@ inline edge::EdgeSystem small_system() {
 /// chains (exercises the multi-execution-step attention path).
 inline edge::Placement small_placement() {
   return edge::Placement(std::vector<std::vector<int>>{{0, 1, 2}, {1, 3}});
+}
+
+/// A hand-built system with ragged chains of 1, 1, 2, 7 and 13 fragments
+/// on 16 devices: the batched chain pass runs waves of 5, 3, 2 (x5) and
+/// 1 (x6) chains, so every wave width and the single-step-chain aliasing
+/// case occur in one forward.
+inline edge::EdgeSystem ragged_system() {
+  edge::EdgeSystem sys;
+  for (int k = 0; k < 16; ++k) {
+    sys.devices.push_back(
+        {"d" + std::to_string(k), 100.0, 0.5 + 0.25 * (k % 5)});
+  }
+  const int lengths[] = {1, 1, 2, 7, 13};
+  for (int i = 0; i < 5; ++i) {
+    edge::ServiceChainSpec chain;
+    chain.name = "c" + std::to_string(i);
+    chain.arrival_rate = 0.2 + 0.1 * i;
+    for (int j = 0; j < lengths[i]; ++j) {
+      chain.fragments.push_back({1.0 + 0.5 * (j % 3), 0.2 + 0.1 * (j % 4)});
+    }
+    sys.chains.push_back(chain);
+  }
+  return sys;
 }
 
 }  // namespace chainnet::testing

@@ -23,8 +23,8 @@ const std::set<std::string>& manual_lock_methods() {
 
 const std::set<std::string>& tensor_private_symbols() {
   static const std::set<std::string> kSymbols = {
-      "gemv_blocked", "gemm_row_tile", "gemm_row_col", "tile_scratch",
-      "tile_scratch_f32"};
+      "gemv_blocked", "gemm_row_tile", "gemm_row_col", "gemm_tile",
+      "gemm_columns", "pack_tile", "tile_scratch", "tile_scratch_f32"};
   return kSymbols;
 }
 
