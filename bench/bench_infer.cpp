@@ -1,20 +1,21 @@
 // bench_infer — surrogate inference-engine throughput (the PR-4 hot path).
 //
 // Four measurements on the paper-sized ChainNet (hidden 64, 8 iterations):
-//   1. single-stream forward_values placements/s, pre-fusion reference
-//      kernels vs the packed/blocked fused kernels (same weights; outputs
-//      are bit-identical, which this bench re-checks before timing);
+//   1. single-stream placements/s, the interpreted walk on the pre-fusion
+//      reference kernels vs forward_values (width-1 plan replay on the
+//      packed/blocked kernels; same weights, bit-identical outputs, which
+//      this bench re-checks before timing);
 //   2. batched forward_values_batch aggregate placements/s for
 //      B in {1,2,4,8,16,32} over prebuilt graphs;
-//   3. compiled execution plans (PR 7): one-time plan-compile cost for the
-//      scalar and batch-32 flavors, and plan replay vs the interpreted
+//   3. compiled execution plans: one-time plan-compile cost at widths 1
+//      and 32, and plan replay vs the interpreted
 //      Algorithm-2 reference walk (CHAINNET_INTERPRET's executor) at B=1
 //      and B=32 — the parity gate first re-checks replay == interpreted
 //      bit for bit;
-//   4. end-to-end surrogate objective: pre-PR-equivalent scalar path
-//      (fresh build_graph allocation + reference kernels, one placement at
-//      a time) vs the current path (graph-workspace reuse + fused kernels +
-//      one batched plan replay over 32 placements);
+//   4. end-to-end surrogate objective: a fresh build_graph allocation and
+//      one single forward per placement vs the current path
+//      (graph-workspace reuse + one batched plan replay over 32
+//      placements);
 //   5. reduced-precision tier (DESIGN.md §15): f32 single-stream and
 //      batched rates vs the f64 tier (same weights, converted once), plus
 //      an analytic bytes/placement + effective-GB/s estimate per batch
@@ -165,8 +166,10 @@ int main() {
   // Parity gate: fused and batched outputs must be bit-identical to the
   // reference kernels, and plan replay (which forward_values[_batch] now
   // is) bit-identical to the interpreted Algorithm-2 walk, before any
-  // throughput number is worth reporting.
-  const auto ref_out = reference.forward_values(graphs[0]);
+  // throughput number is worth reporting. Only the interpreted walk
+  // honours fused_kernels = false, so the reference model runs it.
+  // LINT:interpret(parity gate — the naive-kernel reference walk)
+  const auto ref_out = reference.forward_values_interpreted(graphs[0]);
   if (!same_outputs(ref_out, fused.forward_values(graphs[0])) ||
       !same_outputs(ref_out, fused.forward_values_batch(ptrs)[0])) {
     std::printf("PARITY FAILURE: fused/batched != reference — aborting\n");
@@ -190,7 +193,8 @@ int main() {
 
   // 1. Single-stream kernels.
   const double ref_rate = time_rate(min_seconds, kBatchMax, [&] {
-    for (const auto* g : ptrs) reference.forward_values(*g);
+    // LINT:interpret(benchmark baseline — timing the naive-kernel walk)
+    for (const auto* g : ptrs) reference.forward_values_interpreted(*g);
   });
   const double fused_rate = time_rate(min_seconds, kBatchMax, [&] {
     for (const auto* g : ptrs) fused.forward_values(*g);
@@ -224,7 +228,7 @@ int main() {
   }
   const double b32_vs_b1 = b_last_rate / b1_rate;
 
-  // 3. Compiled execution plans: one-time compile cost per flavor, then
+  // 3. Compiled execution plans: one-time compile cost per width, then
   //    replay vs the interpreted reference walk. Compile time is measured
   //    on fresh compile_plan calls (the cache path is what production
   //    hits, but the cost being amortized is exactly this).
@@ -277,8 +281,8 @@ int main() {
   }
 
   // 4. End-to-end surrogate objective: what the optimizer actually calls.
-  //    Pre-PR equivalent = allocate a fresh graph per candidate and run the
-  //    reference scalar kernels; current = workspace reuse + one batched
+  //    Pre-PR equivalent = allocate a fresh graph per candidate and run one
+  //    single forward per placement; current = workspace reuse + one batched
   //    fused forward.
   const double e2e_scalar = time_rate(min_seconds, kBatchMax, [&] {
     for (const auto& p : placements) {
@@ -296,7 +300,7 @@ int main() {
     surrogate.total_throughput_batch(system, placements, scores);
   });
   std::printf("\nend-to-end surrogate objective (placements/s)\n");
-  std::printf("  %-38s %12.0f\n", "pre-PR scalar (fresh graphs, reference)",
+  std::printf("  %-38s %12.0f\n", "single forwards (fresh graphs)",
               e2e_scalar);
   std::printf("  %-38s %12.0f  (%.2fx)\n",
               "batched B=32 (workspace reuse, fused)", e2e_batched,

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The full pre-merge gate: tier-0 static analysis (chainnet_lint), tier-1
 # build + tests, a plan-parity pass of the inference suites under
-# CHAINNET_INTERPRET=1, a bench_infer parity smoke, then both sanitizer
-# suites (scripts/check_asan.sh, scripts/check_tsan.sh).
+# CHAINNET_INTERPRET=1, a bench_infer parity smoke, a perfbench serve
+# smoke, a bench_search smoke, then both sanitizer suites
+# (scripts/check_asan.sh, scripts/check_tsan.sh).
 #
 # Usage: scripts/check_all.sh [extra ctest args...]
 #
@@ -53,6 +54,29 @@ echo "== bench_infer smoke (parity + rank-fidelity gates) =="
 CHAINNET_INFER_SECONDS=0.05 \
 CHAINNET_INFER_OUT=build/BENCH_infer_smoke.json \
   ./build/bench/bench_infer
+
+echo
+echo "== perfbench smoke (serve workload, frozen driver) =="
+# perfbench/ builds src/ standalone against its own frozen driver sources,
+# so a library API change that breaks them (PlanShape's fields,
+# PlanCache::lookup_or_compile and stats(), set_plan_cache, ...) fails
+# here rather than at benchmark time. run.py prints its build output and
+# the driver's diagnostics on stderr, which stays in this log; the stage
+# fails unless the last stdout line is a result with "correct": true and
+# no failed operations.
+perfbench_line=$(python3 perfbench/run.py --workload serve --seed 1 \
+  --seconds 4 --trace 0 | tail -n 1)
+echo "$perfbench_line"
+PERFBENCH_LINE="$perfbench_line" python3 - <<'PY'
+import json, os, sys
+try:
+    result = json.loads(os.environ["PERFBENCH_LINE"])
+except ValueError:
+    sys.exit("perfbench smoke: last line is not a result object")
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("perfbench smoke: correct=%r failed=%r"
+             % (result.get("correct"), result.get("failed")))
+PY
 
 echo
 echo "== bench_search smoke (population-search harness) =="

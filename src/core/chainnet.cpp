@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "gnn/plan.h"
 #include "tensor/kernels.h"
@@ -224,9 +225,9 @@ struct ChainNet::Impl : Module {
   // ------------------------------------------------------------------
   // Interpreted inference path: identical computation over raw buffers, no
   // autodiff graph. Kept structurally parallel to run() above; the
-  // equivalence is pinned by ChainNetFastInference tests. Since PR 7 this
-  // is the *reference executor*: production forwards replay a compiled
-  // plan (replay_scalar / replay_batch below), and plan_test pins replay
+  // equivalence is pinned by ChainNetFastInference tests. This is the f64
+  // *reference executor*: production forwards replay a compiled plan
+  // (replay_batch below, at every width), and plan_test pins replay
   // bit-for-bit against this walk. Selected at runtime by
   // CHAINNET_INTERPRET=1 or explicitly via forward_values_interpreted.
 
@@ -266,35 +267,30 @@ struct ChainNet::Impl : Module {
   }
 
   /// Bias-free [rows x cols] matvec through the blocked kernel, or the
-  /// naive loop when fused kernels are ablated (f64 only: f32 always runs
-  /// the fused table). Bit-identical either way (same per-row accumulation
-  /// order). The naive reference must still go through the kernel layer,
-  /// not a hand-rolled loop, so it shares whatever rounding regime the
-  /// dispatched ISA tier uses — the FMA tiers fuse multiply-adds, and a
-  /// plain loop would diverge from the fused path by one rounding per
-  /// product.
-  template <typename T>
-  void matvec_values(const T* w, const T* x, T* out, std::size_t rows,
-                     std::size_t cols) const {
-    if (std::is_same_v<T, float> || config.fused_kernels) {
+  /// naive loop when fused kernels are ablated. Bit-identical either way
+  /// (same per-row accumulation order). The naive reference must still go
+  /// through the kernel layer, not a hand-rolled loop, so it shares
+  /// whatever rounding regime the dispatched ISA tier uses — the FMA tiers
+  /// fuse multiply-adds, and a plain loop would diverge from the fused
+  /// path by one rounding per product.
+  void matvec_values(const double* w, const double* x, double* out,
+                     std::size_t rows, std::size_t cols) const {
+    if (config.fused_kernels) {
       kernels::gemv(w, nullptr, x, out, rows, cols);
     } else {
       kernels::gemv_naive(w, nullptr, x, out, rows, cols);
     }
   }
 
-  /// One GRU step through the packed/fused path, or (f64 only) the
-  /// pre-fusion six-GEMV reference when fused kernels are ablated.
-  template <typename T>
-  void gru_values(const GruCell& cell, std::span<const T> h,
-                  std::span<const T> x, std::span<T> out) {
-    if constexpr (std::is_same_v<T, double>) {
-      if (!config.fused_kernels) {
-        cell.forward_values_reference(h, x, out, ws_.gru);
-        return;
-      }
+  /// One GRU step through the packed/fused path, or the pre-fusion
+  /// six-GEMV reference when fused kernels are ablated.
+  void gru_values(const GruCell& cell, std::span<const double> h,
+                  std::span<const double> x, std::span<double> out) {
+    if (config.fused_kernels) {
+      cell.forward_values(h, x, out, ws_.gru);
+    } else {
+      cell.forward_values_reference(h, x, out, ws_.gru);
     }
-    cell.forward_values(h, x, out, ws_.gru, config.dtype);
   }
 
   /// f_multi over raw buffers; `out` has size 2H. Scratch lives in ws_.
@@ -401,14 +397,14 @@ struct ChainNet::Impl : Module {
                     ws.message.begin());
           std::copy(ws.device_prev[dn].begin(), ws.device_prev[dn].end(),
                     ws.message.begin() + static_cast<std::ptrdiff_t>(h));
-          gru_values<double>(*phi_c, ws.hs, ws.message, ws.h_next);
+          gru_values(*phi_c, ws.hs, ws.message, ws.h_next);
           ws.hs.swap(ws.h_next);
           ws.service_at_step[su].assign(ws.hs.begin(), ws.hs.end());
           std::copy(ws.hs.begin(), ws.hs.end(), ws.message.begin());
           std::copy(ws.device_prev[dn].begin(), ws.device_prev[dn].end(),
                     ws.message.begin() + static_cast<std::ptrdiff_t>(h));
-          gru_values<double>(*phi_f, ws.fragment_prev[su], ws.message,
-                             ws.fragment[su]);
+          gru_values(*phi_f, ws.fragment_prev[su], ws.message,
+                     ws.fragment[su]);
         }
         ws.service[i].assign(ws.hs.begin(), ws.hs.end());
       }
@@ -429,8 +425,7 @@ struct ChainNet::Impl : Module {
         aggregate_device_messages_values(
             ws.device_prev[dn],
             std::span<const Vec>(ws.messages.data(), steps.size()), ws.m_d);
-        gru_values<double>(*phi_d, ws.device_prev[dn], ws.m_d,
-                           ws.device[dn]);
+        gru_values(*phi_d, ws.device_prev[dn], ws.m_d, ws.device[dn]);
       }
     }
 
@@ -788,29 +783,25 @@ struct ChainNet::Impl : Module {
 
   // ------------------------------------------------------------------
   // Plan executor. The interpreted walks above re-derive the op order per
-  // call; replay_scalar / replay_batch instead run a flat op list compiled
-  // once per (topology, shape, width) — see gnn/plan.h — over the same
-  // kernels, with every buffer an offset into one arena. The
-  // fragment/device panels are double-buffered across iterations (offsets
-  // baked per iteration by the compiler), which deletes the interpreted
-  // path's per-iteration snapshot copies. The batch chain pass runs one
-  // wave per step position (the k-th steps of all chains as one GEMM
-  // pass); every element still goes through the same kernel chain, so f64
-  // replay is bit-for-bit equal to the reference executor (plan_test,
-  // bench_infer parity gate).
+  // call; replay_batch instead runs a flat op list compiled once per
+  // (topology, shape, width) — see gnn/plan.h — over the same kernels,
+  // with every buffer an offset into one arena. Every width runs it, a
+  // single forward as width 1. The fragment/device panels are
+  // double-buffered across iterations (offsets baked per iteration by the
+  // compiler), which deletes the interpreted path's per-iteration snapshot
+  // copies. The chain pass runs one wave per step position (the k-th steps
+  // of all chains as one GEMM pass); every element still goes through the
+  // same kernel chain, so f64 replay is bit-for-bit equal to the reference
+  // executor (plan_test, bench_infer parity gate).
   //
-  // One executor serves every inference tier (DESIGN.md §15): replay_*
-  // are templates on the element type T, instantiated for double (kF64)
+  // One executor serves every inference tier (DESIGN.md §15): replay_batch
+  // is a template on the element type T, instantiated for double (kF64)
   // and float (kF32, and kBf16, which stores bf16-rounded weights but
-  // computes in f32). Only these helpers depend on T:
+  // computes in f32). Only these parts depend on T:
   //  * weight source (head_weights here, the nn.h value paths for the
   //    layers): f64 reads the master Var values and packs; f32 reads the
   //    lazily converted, version-checked caches, bf16-rounded for kBf16;
-  //  * graph features (features): narrowed to float on the way into the
-  //    encoders, for f32 only;
-  //  * kernel choice (matvec_values, gru_values): fused_kernels == false
-  //    selects the naive reference kernels for f64 only, since there is no
-  //    pre-fusion f32 path (kernels_f32_test pins the f32 kernels instead);
+  //  * graph features: narrowed to T as the encode ops gather them;
   //  * output: values widen to double at the ChainValues boundary.
   // The reduced tiers are gated on ranking fidelity against f64, not bit
   // parity (bench_infer rank gate); reduced_golden_test pins their values.
@@ -836,20 +827,8 @@ struct ChainNet::Impl : Module {
   };
   BatchGeometry geo_;
 
-  /// Replay buffers of one element type: the plan arena, plus the scalar
-  /// path's narrowed-feature staging row and attention scratch.
-  template <typename T>
-  struct ReplayBuffers {
-    std::vector<T> arena;
-    std::vector<T> feat;
-    std::vector<T> joint, act, weights, transformed;
-  };
-  std::tuple<ReplayBuffers<double>, ReplayBuffers<float>> replay_buffers_;
-
-  template <typename T>
-  ReplayBuffers<T>& buffers() {
-    return std::get<ReplayBuffers<T>>(replay_buffers_);
-  }
+  /// The plan arena, one per element type.
+  std::tuple<std::vector<double>, std::vector<float>> arenas_;
 
   gnn::PlanShape plan_shape() const {
     gnn::PlanShape shape;
@@ -917,201 +896,14 @@ struct ChainNet::Impl : Module {
     }
   }
 
-  /// Graph features are published as doubles; the f32 tier narrows them on
-  /// the way into the encoders (plain round-to-nearest, never bf16).
-  template <typename T>
-  std::span<const T> features(std::span<const double> src) {
-    if constexpr (std::is_same_v<T, double>) {
-      return src;
-    } else {
-      std::vector<float>& feat = buffers<float>().feat;
-      feat.resize(src.size());
-      for (std::size_t i = 0; i < src.size(); ++i) {
-        feat[i] = static_cast<float>(src[i]);
-      }
-      return {feat.data(), src.size()};
-    }
-  }
-
   template <typename T>
   T* fit_arena(std::int64_t elems) {
     // Grow-only: alternating widths through one model must not thrash.
-    std::vector<T>& arena = buffers<T>().arena;
+    std::vector<T>& arena = std::get<std::vector<T>>(arenas_);
     if (arena.size() < static_cast<std::size_t>(elems)) {
       arena.resize(static_cast<std::size_t>(elems));
     }
     return arena.data();
-  }
-
-  /// f_multi over contiguous message rows (stride 2H); arithmetic mirrors
-  /// aggregate_device_messages_values line for line so f64 replay stays
-  /// bit-identical to the reference executor.
-  template <typename T>
-  void aggregate_device_messages_flat(std::span<const T> device_prev,
-                                      const T* msgs, std::size_t count,
-                                      std::span<T> out) {
-    const std::size_t two_h = out.size();
-    if (count == 1) {
-      std::copy_n(msgs, two_h, out.data());
-      return;
-    }
-    if (!config.attention_aggregation) {
-      std::fill(out.begin(), out.end(), T(0));
-      for (std::size_t t = 0; t < count; ++t) {
-        const T* m = msgs + t * two_h;
-        for (std::size_t j = 0; j < two_h; ++j) out[j] += m[j];
-      }
-      const T inv = T(1) / static_cast<T>(count);
-      for (auto& v : out) v *= inv;
-      return;
-    }
-    const std::size_t h = device_prev.size();
-    std::fill(out.begin(), out.end(), T(0));
-    ReplayBuffers<T>& rb = buffers<T>();
-    std::vector<T>& joint = rb.joint;
-    std::vector<T>& act = rb.act;
-    std::vector<T>& weights = rb.weights;
-    std::vector<T>& transformed = rb.transformed;
-    joint.resize(3 * h);
-    act.resize(h);
-    weights.resize(count);
-    transformed.resize(two_h);
-    std::copy(device_prev.begin(), device_prev.end(), joint.begin());
-    for (std::size_t a = 0; a < attention.size(); ++a) {
-      const auto [w_att, alpha, w_msg] = head_weights<T>(a);
-      for (std::size_t t = 0; t < count; ++t) {
-        const T* m = msgs + t * two_h;
-        std::copy_n(m, two_h, joint.begin() + static_cast<std::ptrdiff_t>(h));
-        matvec_values(w_att, joint.data(), act.data(), h, 3 * h);
-        for (auto& v : act) v = v > T(0) ? v : T(0.2) * v;  // LeakyReLU(0.2)
-        T score = T(0);
-        for (std::size_t j = 0; j < h; ++j) score += alpha[j] * act[j];
-        weights[t] = score;
-      }
-      T max_score = weights.front();
-      for (T s : weights) max_score = std::max(max_score, s);
-      T denom = T(0);
-      for (auto& s : weights) {
-        s = std::exp(s - max_score);
-        denom += s;
-      }
-      const T head_scale = T(1) / static_cast<T>(attention.size());
-      for (std::size_t t = 0; t < count; ++t) {
-        matvec_values(w_msg, msgs + t * two_h, transformed.data(), two_h,
-                      two_h);
-        const T wgt = head_scale * weights[t] / denom;
-        for (std::size_t j = 0; j < two_h; ++j) {
-          out[j] += wgt * transformed[j];
-        }
-      }
-    }
-  }
-
-  template <typename T>
-  std::vector<gnn::ChainValues> replay_scalar(const PlacementGraph& g) {
-    const auto plan = plan_for(g, 1);
-    const gnn::Plan& p = *plan;
-    const gnn::PlanLayout& L = p.layout;
-    const auto h = static_cast<std::size_t>(config.hidden);
-    T* A = fit_arena<T>(p.meta.scratch_elems);
-    const std::span<T> m_c(A + L.m_c, 2 * h);
-    std::vector<gnn::ChainValues> outputs(
-        static_cast<std::size_t>(g.num_chains));
-    for (const gnn::PlanOp& op : p.ops) {
-      switch (op.kind) {
-        case gnn::PlanOpKind::kEncodeService: {
-          const std::span<T> out(A + op.out, h);
-          enc_service->forward_values(
-              features<T>(
-                  g.service_features[static_cast<std::size_t>(op.a)]),
-              out, config.dtype);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeFragment: {
-          const std::span<T> out(A + op.out, h);
-          enc_fragment->forward_values(
-              features<T>(
-                  g.fragment_features[static_cast<std::size_t>(op.a)]),
-              out, config.dtype);
-          apply_activation_values(out, Activation::kTanh);
-          break;
-        }
-        case gnn::PlanOpKind::kEncodeDevices: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const std::span<T> out(A + op.out + dn * h, h);
-            enc_device->forward_values(features<T>(g.device_features[dn]),
-                                       out, config.dtype);
-            apply_activation_values(out, Activation::kTanh);
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kGruChainStep: {
-          // m_c = [fragment_prev || device_prev] (eq. 6), phi_c into the
-          // step's sas row (eq. 4), then m_f reuses the bottom half and
-          // phi_f writes the fragment row of the opposite buffer (eq. 7).
-          const auto dn = static_cast<std::size_t>(
-              g.steps[static_cast<std::size_t>(op.a)].device_node);
-          std::copy_n(A + op.in1, h, m_c.data());
-          std::copy_n(A + op.aux + dn * h, h, m_c.data() + h);
-          T* sas_row = A + L.sas + static_cast<std::size_t>(op.a) * h;
-          // Stage the carried chain state: for a single-step chain the
-          // carried row IS this step's sas row, and the GRU forbids
-          // h aliasing h_out.
-          std::copy_n(A + op.in0, h, A + L.hs);
-          gru_values<T>(*phi_c, {A + L.hs, h}, m_c, {sas_row, h});
-          std::copy_n(sas_row, h, m_c.data());
-          gru_values<T>(*phi_f, {A + op.in1, h}, m_c, {A + op.out, h});
-          break;
-        }
-        case gnn::PlanOpKind::kDevicePass: {
-          const auto nd = static_cast<std::size_t>(g.num_devices());
-          const std::span<T> m_d(A + L.m_d, 2 * h);
-          for (std::size_t dn = 0; dn < nd; ++dn) {
-            const auto& steps = g.device_node_steps[dn];
-            for (std::size_t t = 0; t < steps.size(); ++t) {
-              const auto su = static_cast<std::size_t>(steps[t]);
-              T* row = A + L.dmsgs + t * 2 * h;
-              std::copy_n(A + L.sas + su * h, h, row);
-              std::copy_n(A + op.in0 + su * h, h, row + h);
-            }
-            const std::span<const T> prev(A + op.in1 + dn * h, h);
-            aggregate_device_messages_flat(prev, A + L.dmsgs, steps.size(),
-                                           m_d);
-            gru_values<T>(*phi_d, prev, m_d, {A + op.out + dn * h, h});
-          }
-          break;
-        }
-        case gnn::PlanOpKind::kReadout: {
-          const auto iu = static_cast<std::size_t>(op.a);
-          const std::span<T> scalar(A + L.scalar_out, 1);
-          mlp_tput->forward_values(std::span<const T>(A + op.in0, h), scalar,
-                                   ws_.mlp, config.dtype);
-          outputs[iu].throughput = static_cast<double>(scalar[0]);
-          outputs[iu].has_throughput = true;
-          T* hl = A + L.h_latency;
-          std::fill_n(hl, h, T(0));
-          const auto& seq = p.key.topology.sequences[iu];
-          for (int s : seq) {
-            const T* f = A + op.in1 + static_cast<std::size_t>(s) * h;
-            for (std::size_t j = 0; j < h; ++j) hl[j] += f[j];
-          }
-          if (config.modified_outputs) {
-            const T inv = T(1) / static_cast<T>(seq.size());
-            for (std::size_t j = 0; j < h; ++j) hl[j] *= inv;
-          }
-          mlp_latency->forward_values(std::span<const T>(hl, h), scalar,
-                                      ws_.mlp, config.dtype);
-          outputs[iu].latency = static_cast<double>(scalar[0]);
-          outputs[iu].has_latency = true;
-          break;
-        }
-        default:
-          throw std::logic_error("batch op in a width-1 plan");
-      }
-    }
-    return outputs;
   }
 
   /// Binds the placement-dependent device geometry for a batch replay:
@@ -1414,8 +1206,6 @@ struct ChainNet::Impl : Module {
           }
           break;
         }
-        default:
-          throw std::logic_error("scalar op in a batched plan");
       }
     }
     return outputs;
@@ -1448,27 +1238,19 @@ std::vector<ChainOutput> ChainNet::forward(const PlacementGraph& g) {
 
 std::vector<gnn::ChainValues> ChainNet::forward_values(
     const PlacementGraph& g) {
-  // The interpreted reference walk is f64-only: CHAINNET_INTERPRET forces
-  // the full-precision reference regardless of the configured tier.
-  if (interpret_env()) return impl_->run_values_interpreted(g);
-  if (impl_->config.dtype != tensor::DType::kF64) {
-    return impl_->replay_scalar<float>(g);
-  }
-  return impl_->replay_scalar<double>(g);
+  const PlacementGraph* const one[] = {&g};
+  return std::move(forward_values_batch(one).front());
 }
 
 std::vector<std::vector<gnn::ChainValues>> ChainNet::forward_values_batch(
     std::span<const PlacementGraph* const> graphs) {
   gnn::validate_same_system_batch(graphs);
+  // The interpreted reference walk is f64-only: CHAINNET_INTERPRET forces
+  // the full-precision reference regardless of the configured tier.
   if (interpret_env()) return impl_->run_values_batch_interpreted(graphs);
-  // Width 1 is exactly the scalar plan; skip the batch binding.
   if (impl_->config.dtype != tensor::DType::kF64) {
-    if (graphs.size() == 1) {
-      return {impl_->replay_scalar<float>(*graphs.front())};
-    }
     return impl_->replay_batch<float>(graphs);
   }
-  if (graphs.size() == 1) return {impl_->replay_scalar<double>(*graphs.front())};
   return impl_->replay_batch<double>(graphs);
 }
 

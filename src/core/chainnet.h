@@ -37,10 +37,13 @@ struct ChainNetConfig {
   /// Extra (non-paper) ablation: replace the attention of eq. 14-16 with a
   /// plain mean over per-step device messages.
   bool attention_aggregation = true;
-  /// Dispatch inference through the packed/blocked kernels (kernels.h).
-  /// `false` re-runs the pre-fusion naive GEMV path — kept as the
-  /// bit-parity oracle and the bench_infer baseline; numerically the two
-  /// are identical (same per-element accumulation order).
+  /// Dispatch the interpreted reference executor through the packed/
+  /// blocked kernels (kernels.h). `false` re-runs its pre-fusion naive
+  /// GEMV path — kept as the bit-parity oracle and the bench_infer
+  /// baseline; numerically the two are identical (same per-element
+  /// accumulation order). Plan replay, which serves every production
+  /// forward, always runs the blocked kernels, so the flag affects only
+  /// forward_values[_batch]_interpreted and CHAINNET_INTERPRET=1.
   bool fused_kernels = true;
   /// Numeric tier for the inference-only paths (tensor/dtype.h). kF64
   /// replays plans in double — bit-identical to the pre-tier engine and to
@@ -82,8 +85,9 @@ class ChainNet final : public gnn::GraphModel {
   std::vector<gnn::ChainOutput> forward(
       const edge::PlacementGraph& g) override;
   /// Allocation-light inference path (no autodiff graph); used by the
-  /// surrogate optimizer's hot loop. Replays a compiled execution plan
-  /// (gnn/plan.h) resolved through the installed PlanCache; set
+  /// surrogate optimizer's hot loop. forward_values_batch at width 1: it
+  /// replays the width-1 compiled execution plan (gnn/plan.h) resolved
+  /// through the installed PlanCache; set
   /// CHAINNET_INTERPRET=1 to dispatch to the interpreted reference walk
   /// instead. Matches forward() numerically — see the ChainNetFastInference
   /// tests — and the interpreted walk bit for bit (plan_test).

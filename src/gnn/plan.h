@@ -6,12 +6,14 @@
 // order once as a flat array of typed ops with pre-resolved offsets into a
 // single arena-planned scratch buffer; `ChainNet::forward_values[_batch]`
 // then replays the op list over the fused kernels instead of re-walking the
-// heterogeneous graph per call. Placement-dependent geometry (which device
-// column each step reads, the per-device message groups) is bound per
-// replay from the graph — the same tables the interpreted batch path
-// already rebuilt every call — so a plan is reusable across every
-// placement, every weight version, and every model instance that shares
-// its (topology, shape, width) key.
+// heterogeneous graph per call. There is one plan flavour: every width,
+// a single forward's width 1 included, compiles the same wave-batched op
+// sequence over [h x W] panels, and only the offsets scale with W.
+// Placement-dependent geometry (which device column each step reads, the
+// per-device message groups) is bound per replay from the graph — the
+// same tables the interpreted batch path already rebuilt every call — so
+// a plan is reusable across every placement, every weight version, and
+// every model instance that shares its (topology, shape, width) key.
 //
 // Plans are weight-independent: a serving hot-swap that replaces model
 // weights never invalidates a plan; only a topology change compiles a new
@@ -34,16 +36,8 @@ namespace chainnet::gnn {
 /// One executable op of a compiled plan. Offsets index the plan's arena
 /// (in elements of the plan's dtype); -1 marks an unused field. Field
 /// roles per kind are documented at the emission site in plan_compiler.cpp.
+/// Every op works on [rows x W] column panels, W the plan's width.
 enum class PlanOpKind : std::uint8_t {
-  // Scalar (width-1) executor.
-  kEncodeService,    ///< a=chain, out=service row
-  kEncodeFragment,   ///< a=step, out=fragment row
-  kEncodeDevices,    ///< out=device panel base (runtime device count)
-  kGruChainStep,     ///< a=step, in0=h_in, in1=frag_prev row, out=frag row,
-                     ///< aux=device read-buffer base
-  kDevicePass,       ///< in0=frag read base, in1=dev read base, out=dev write
-  kReadout,          ///< a=chain, in0=final service row, in1=final frag base
-  // Batched executor (width >= 2).
   kBatchEncodeService,   ///< a=chain, out=service panel
   kBatchEncodeFragment,  ///< a=step, out=fragment panel
   kBatchEncodeDevices,   ///< out=device panel base
@@ -112,33 +106,31 @@ struct PlanShape {
 struct PlanKey {
   PlanTopology topology;
   PlanShape shape;
-  int width = 1;  ///< batch width class (exact B; 1 = scalar executor)
+  int width = 1;  ///< batch width class (exact B; 1 = a single forward)
 
   bool operator==(const PlanKey& other) const = default;
 };
 
-/// Arena region offsets (in doubles). Regions a plan flavor does not use
-/// are -1. frag0/frag1 and dev0/dev1 are the double-buffered embedding
-/// panels: each iteration's ops read one and write the other, which is
-/// what lets the compiler delete the interpreted path's per-iteration
-/// snapshot copies.
+/// Arena region offsets (in elements). Regions a plan does not use (the
+/// attention panels with attention ablated) are -1. frag0/frag1 and
+/// dev0/dev1 are the double-buffered embedding panels: each iteration's
+/// ops read one and write the other, which is what lets the compiler
+/// delete the interpreted path's per-iteration snapshot copies.
 struct PlanLayout {
   std::int32_t service = -1;
   std::int32_t frag0 = -1, frag1 = -1;
   std::int32_t sas = -1;  ///< service-at-step rows (eq. 8 / eq. 10 inputs)
   std::int32_t dev0 = -1, dev1 = -1;
-  /// Chain-state staging (phi_c h input). Scalar: one row. Batch: two
-  /// [h x C*W] wave panels, the gathered chain state (later phi_f's
-  /// output) and phi_c's output (later fragment_prev).
+  /// Chain-state staging: two [h x C*W] wave panels, the gathered chain
+  /// state (later phi_f's output) and phi_c's output (later
+  /// fragment_prev).
   std::int32_t hs = -1;
-  std::int32_t m_c = -1;     ///< chain-pass message panel (batch: C*W cols)
+  std::int32_t m_c = -1;     ///< chain-pass message panel (C*W columns)
   std::int32_t m_d = -1;     ///< aggregated device-message panel
-  std::int32_t dmsgs = -1;   ///< scalar: per-device message rows
-  std::int32_t h_latency = -1, scalar_out = -1;  ///< scalar readout
   std::int32_t messages = -1, joints = -1, att_act = -1, scores = -1,
-               transformed = -1;  ///< batch device-pass panels
-  std::int32_t readout_in = -1, readout_out = -1;  ///< batch readout panels
-  std::int32_t enc_in = -1;  ///< batch encoder input gather panel
+               transformed = -1;  ///< device-pass panels
+  std::int32_t readout_in = -1, readout_out = -1;  ///< readout panels
+  std::int32_t enc_in = -1;  ///< encoder input gather panel
 };
 
 struct PlanMeta {
@@ -147,8 +139,9 @@ struct PlanMeta {
   int iterations = 0;
   int chains = 0;
   int steps = 0;
-  int dev_cap = 0;      ///< device-column capacity (runtime D <= dev_cap)
-  int message_cap = 0;  ///< batch message columns M = steps * width
+  /// Device-column capacity, runtime D <= dev_cap; also the message
+  /// column count M = steps * width.
+  int dev_cap = 0;
   /// Arena size in *elements* — doubles on the f64 tier, floats on the
   /// reduced tiers (the executor multiplies by the key's element width).
   std::int64_t scratch_elems = 0;

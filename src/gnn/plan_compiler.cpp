@@ -34,15 +34,14 @@ int count_steps(const PlanTopology& topology) {
   return static_cast<int>(steps);
 }
 
-/// Emits the per-iteration body: the chain pass followed by the
-/// flavor-specific device pass, with the fragment/device panels
-/// double-buffered across iterations. The scalar chain pass is one
-/// kGruChainStep per step; the batch chain pass is one kBatchChainWave per
-/// step position k, whose column table lists every chain with a k-th step
-/// (Algorithm 2 reads only the previous iteration's fragment and device
-/// panels, so the k-th steps of all chains are independent). `row` is the
-/// per-entity row width (h for scalar, h*W for batch).
-void emit_iterations(std::int64_t row, bool batch, Plan& plan) {
+/// Emits the per-iteration body: the chain pass followed by the device
+/// pass, with the fragment/device panels double-buffered across
+/// iterations. The chain pass is one kBatchChainWave per step position k,
+/// whose column table lists every chain with a k-th step (Algorithm 2
+/// reads only the previous iteration's fragment and device panels, so the
+/// k-th steps of all chains are independent). `row` is the per-entity
+/// panel width h*W.
+void emit_iterations(std::int64_t row, Plan& plan) {
   const PlanKey& key = plan.key;
   const PlanLayout& layout = plan.layout;
   std::vector<PlanOp>& ops = plan.ops;
@@ -55,11 +54,9 @@ void emit_iterations(std::int64_t row, bool batch, Plan& plan) {
   // The chain state carries ACROSS iterations (the interpreted walk writes
   // hs back into service[i] at the end of each chain pass): iteration 0
   // starts from the encoded service row, every later iteration from the
-  // chain's last service-at-step row of the previous one. The executors
-  // stage in0 before the GRU (scalar: copy through layout.hs; batch: the
-  // wave gathers every column before it writes any), so a single-step
-  // chain — whose carried row IS its output row — never aliases h with
-  // h_out.
+  // chain's last service-at-step row of the previous one. The wave gathers
+  // every column before it writes any, so a single-step chain — whose
+  // carried row IS its output row — never aliases h with h_out.
   chain_final.assign(C, -1);
   for (std::size_t i = 0; i < C; ++i) {
     chain_final[i] = layout.service + static_cast<std::int32_t>(i * row);
@@ -70,53 +67,33 @@ void emit_iterations(std::int64_t row, bool batch, Plan& plan) {
     const std::int32_t fw = odd ? layout.frag0 : layout.frag1;
     const std::int32_t dr = odd ? layout.dev1 : layout.dev0;
     const std::int32_t dw = odd ? layout.dev0 : layout.dev1;
-    if (batch) {
-      for (std::size_t k = 0; k < longest; ++k) {
-        std::vector<PlanWaveColumn> wave;
-        for (std::size_t i = 0; i < C; ++i) {
-          const auto& seq = key.topology.sequences[i];
-          if (k >= seq.size()) continue;
-          const auto s = static_cast<std::int32_t>(seq[k]);
-          wave.push_back(PlanWaveColumn{
-              s, chain_final[i], fr + static_cast<std::int32_t>(s * row),
-              fw + static_cast<std::int32_t>(s * row)});
-          chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
-        }
-        ops.push_back(PlanOp{PlanOpKind::kBatchChainWave,
-                             static_cast<std::int32_t>(plan.waves.size()),
-                             -1, -1, -1, dr});
-        plan.waves.push_back(std::move(wave));
-      }
-      ops.push_back(
-          PlanOp{PlanOpKind::kBatchGatherMessages, -1, fr, -1, -1, -1});
-      ops.push_back(
-          PlanOp{PlanOpKind::kBatchAggregateInit, -1, -1, -1, -1, -1});
-      if (key.shape.attention_aggregation) {
-        ops.push_back(
-            PlanOp{PlanOpKind::kBatchAttentionJoints, -1, -1, dr, -1, -1});
-        for (int a = 0; a < key.shape.attention_heads; ++a) {
-          ops.push_back(
-              PlanOp{PlanOpKind::kBatchAttentionHead, a, -1, -1, -1, -1});
-        }
-      }
-      ops.push_back(
-          PlanOp{PlanOpKind::kBatchGruDevice, -1, dr, -1, dw, -1});
-    } else {
+    for (std::size_t k = 0; k < longest; ++k) {
+      std::vector<PlanWaveColumn> wave;
       for (std::size_t i = 0; i < C; ++i) {
-        for (int s : key.topology.sequences[i]) {
-          PlanOp op;
-          op.kind = PlanOpKind::kGruChainStep;
-          op.a = s;
-          op.in0 = chain_final[i];
-          op.in1 = fr + static_cast<std::int32_t>(s * row);
-          op.out = fw + static_cast<std::int32_t>(s * row);
-          op.aux = dr;
-          ops.push_back(op);
-          chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
-        }
+        const auto& seq = key.topology.sequences[i];
+        if (k >= seq.size()) continue;
+        const auto s = static_cast<std::int32_t>(seq[k]);
+        wave.push_back(PlanWaveColumn{
+            s, chain_final[i], fr + static_cast<std::int32_t>(s * row),
+            fw + static_cast<std::int32_t>(s * row)});
+        chain_final[i] = layout.sas + static_cast<std::int32_t>(s * row);
       }
-      ops.push_back(PlanOp{PlanOpKind::kDevicePass, -1, fr, dr, dw, -1});
+      ops.push_back(PlanOp{PlanOpKind::kBatchChainWave,
+                           static_cast<std::int32_t>(plan.waves.size()), -1,
+                           -1, -1, dr});
+      plan.waves.push_back(std::move(wave));
     }
+    ops.push_back(PlanOp{PlanOpKind::kBatchGatherMessages, -1, fr, -1, -1, -1});
+    ops.push_back(PlanOp{PlanOpKind::kBatchAggregateInit, -1, -1, -1, -1, -1});
+    if (key.shape.attention_aggregation) {
+      ops.push_back(
+          PlanOp{PlanOpKind::kBatchAttentionJoints, -1, -1, dr, -1, -1});
+      for (int a = 0; a < key.shape.attention_heads; ++a) {
+        ops.push_back(
+            PlanOp{PlanOpKind::kBatchAttentionHead, a, -1, -1, -1, -1});
+      }
+    }
+    ops.push_back(PlanOp{PlanOpKind::kBatchGruDevice, -1, dr, -1, dw, -1});
   }
 }
 
@@ -141,10 +118,9 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   const auto W = static_cast<std::int64_t>(key.width);
   const auto C = static_cast<std::int64_t>(key.topology.num_chains);
   const auto S = static_cast<std::int64_t>(count_steps(key.topology));
-  const bool batch = key.width > 1;
-  // Every used device hosts at least one of the S execution steps, so the
-  // runtime device-column count D is bounded by S per placement.
-  const std::int64_t dev_cap = batch ? S * W : S;
+  // One device message per (step, placement). Every used device hosts at
+  // least one of its placement's S steps, so the runtime device-column
+  // count D is bounded by M too.
   const std::int64_t M = S * W;
 
   auto plan = std::make_shared<Plan>();
@@ -154,88 +130,57 @@ std::shared_ptr<const Plan> compile_plan(const PlanKey& key) {
   plan->meta.iterations = key.shape.iterations;
   plan->meta.chains = static_cast<int>(C);
   plan->meta.steps = static_cast<int>(S);
-  plan->meta.dev_cap = static_cast<int>(dev_cap);
-  plan->meta.message_cap = batch ? static_cast<int>(M) : 0;
+  plan->meta.dev_cap = static_cast<int>(M);
 
   ArenaPlanner arena;
   PlanLayout& L = plan->layout;
-  const std::int64_t row = h * W;  // per-entity row width (h when W == 1)
+  const std::int64_t row = h * W;  // per-entity [h x W] panel
   L.service = arena.region(C * row);
   L.frag0 = arena.region(S * row);
   L.frag1 = arena.region(S * row);
   L.sas = arena.region(S * row);
-  L.dev0 = arena.region(h * dev_cap);
-  L.dev1 = arena.region(h * dev_cap);
-  // A batch wave stages at most one W-column block per chain, so each of
-  // its staging panels is [h x C*W].
-  const std::int64_t wave_panel = batch ? C * row : row;
-  L.hs = arena.region(batch ? 2 * wave_panel : row);
+  L.dev0 = arena.region(h * M);
+  L.dev1 = arena.region(h * M);
+  // A wave stages at most one W-column block per chain, so each of its
+  // staging panels is [h x C*W].
+  const std::int64_t wave_panel = C * row;
+  L.hs = arena.region(2 * wave_panel);
   L.m_c = arena.region(2 * wave_panel);
-  L.m_d = arena.region(batch ? 2 * h * dev_cap : 2 * h);
-  if (batch) {
-    L.messages = arena.region(2 * h * M);
-    if (key.shape.attention_aggregation) {
-      L.joints = arena.region(3 * h * M);
-      L.att_act = arena.region(h * M);
-      L.scores = arena.region(M);
-      L.transformed = arena.region(2 * h * M);
-    }
-    L.readout_in = arena.region(h * C * W);
-    L.readout_out = arena.region(C * W);
-    L.enc_in = arena.region(
-        std::max({static_cast<std::int64_t>(edge::kServiceFeatureDim) * W,
-                  static_cast<std::int64_t>(edge::kFragmentFeatureDim) * W,
-                  static_cast<std::int64_t>(edge::kDeviceFeatureDim) *
-                      dev_cap}));
-  } else {
-    L.dmsgs = arena.region(2 * h * std::max<std::int64_t>(S, 1));
-    L.h_latency = arena.region(h);
-    L.scalar_out = arena.region(1);
+  L.m_d = arena.region(2 * h * M);
+  L.messages = arena.region(2 * h * M);
+  if (key.shape.attention_aggregation) {
+    L.joints = arena.region(3 * h * M);
+    L.att_act = arena.region(h * M);
+    L.scores = arena.region(M);
+    L.transformed = arena.region(2 * h * M);
   }
+  L.readout_in = arena.region(h * C * W);
+  L.readout_out = arena.region(C * W);
+  L.enc_in = arena.region(
+      std::max({static_cast<std::int64_t>(edge::kServiceFeatureDim) * W,
+                static_cast<std::int64_t>(edge::kFragmentFeatureDim) * W,
+                static_cast<std::int64_t>(edge::kDeviceFeatureDim) * M}));
 
   std::vector<PlanOp>& ops = plan->ops;
   for (std::int64_t i = 0; i < C; ++i) {
-    PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeService
-                    : PlanOpKind::kEncodeService;
-    op.a = static_cast<std::int32_t>(i);
-    op.out = L.service + static_cast<std::int32_t>(i * row);
-    ops.push_back(op);
+    ops.push_back(PlanOp{PlanOpKind::kBatchEncodeService,
+                         static_cast<std::int32_t>(i), -1, -1,
+                         L.service + static_cast<std::int32_t>(i * row), -1});
   }
   for (std::int64_t s = 0; s < S; ++s) {
-    PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeFragment
-                    : PlanOpKind::kEncodeFragment;
-    op.a = static_cast<std::int32_t>(s);
-    op.out = L.frag0 + static_cast<std::int32_t>(s * row);
-    ops.push_back(op);
+    ops.push_back(PlanOp{PlanOpKind::kBatchEncodeFragment,
+                         static_cast<std::int32_t>(s), -1, -1,
+                         L.frag0 + static_cast<std::int32_t>(s * row), -1});
   }
-  {
-    PlanOp op;
-    op.kind = batch ? PlanOpKind::kBatchEncodeDevices
-                    : PlanOpKind::kEncodeDevices;
-    op.out = L.dev0;
-    ops.push_back(op);
-  }
+  ops.push_back(
+      PlanOp{PlanOpKind::kBatchEncodeDevices, -1, -1, -1, L.dev0, -1});
 
-  emit_iterations(row, batch, *plan);
+  emit_iterations(row, *plan);
 
   // After the last iteration the live fragment buffer is frag[N % 2].
   const std::int32_t frag_final =
       (key.shape.iterations % 2) != 0 ? L.frag1 : L.frag0;
-  if (batch) {
-    ops.push_back(
-        PlanOp{PlanOpKind::kBatchReadout, -1, -1, frag_final, -1, -1});
-  } else {
-    for (std::int64_t i = 0; i < C; ++i) {
-      PlanOp op;
-      op.kind = PlanOpKind::kReadout;
-      op.a = static_cast<std::int32_t>(i);
-      op.in0 = plan->chain_final[static_cast<std::size_t>(i)];
-      op.in1 = frag_final;
-      ops.push_back(op);
-    }
-  }
+  ops.push_back(PlanOp{PlanOpKind::kBatchReadout, -1, -1, frag_final, -1, -1});
 
   plan->meta.scratch_elems = arena.cursor;
   plan->fingerprint = plan_fingerprint(key);

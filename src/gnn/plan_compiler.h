@@ -15,8 +15,9 @@ namespace chainnet::gnn {
 PlanKey make_plan_key(const edge::PlacementGraph& g, const PlanShape& shape,
                       int width);
 
-/// Compiles the full op list and arena layout for a key. width == 1 emits
-/// the scalar flavor; width >= 2 the batched flavor.
+/// Compiles the full op list and arena layout for a key. Every width
+/// compiles the same op-kind sequence (the wave pass); width only scales
+/// the panels and so the offsets.
 std::shared_ptr<const Plan> compile_plan(const PlanKey& key);
 
 /// Convenience: key + compile in one call.

@@ -134,14 +134,13 @@ std::array<const T*, 2> Linear::weights(DType storage) const {
   }
 }
 
-template <typename T>
-void Linear::forward_values(std::span<const T> x, std::span<T> out,
-                            DType storage) const {
+void Linear::forward_values(std::span<const double> x,
+                            std::span<double> out) const {
   if (x.size() != in_ || out.size() != out_) {
     throw std::invalid_argument("Linear::forward_values: size mismatch");
   }
-  const auto [w, b] = weights<T>(storage);
-  kernels::gemv(w, b, x.data(), out.data(), out_, in_);
+  kernels::gemv(w_.value().data(), b_.value().data(), x.data(), out.data(),
+                out_, in_);
 }
 
 template <typename T>
@@ -151,10 +150,6 @@ void Linear::forward_values_batch(const T* x, T* out, std::size_t n,
   kernels::gemm(w, b, x, out, out_, in_, n);
 }
 
-template void Linear::forward_values(std::span<const double>,
-                                     std::span<double>, DType) const;
-template void Linear::forward_values(std::span<const float>,
-                                     std::span<float>, DType) const;
 template void Linear::forward_values_batch(const double*, double*,
                                            std::size_t, DType) const;
 template void Linear::forward_values_batch(const float*, float*, std::size_t,
@@ -246,18 +241,15 @@ void Mlp::forward_values(std::span<const double> x,
   forward_values(x, out, scratch);
 }
 
-template <typename T>
-void Mlp::forward_values(std::span<const T> x, std::span<T> out, Scratch& s,
-                         DType storage) const {
-  auto& a = tier<T>(s.a, s.a_f);
-  auto& b = tier<T>(s.b, s.b_f);
+void Mlp::forward_values(std::span<const double> x, std::span<double> out,
+                         Scratch& s) const {
+  std::vector<double>& a = s.a;
+  std::vector<double>& b = s.b;
   a.assign(x.begin(), x.end());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     b.resize(layers_[l]->out_features());
-    layers_[l]->forward_values(std::span<const T>(a), std::span<T>(b),
-                               storage);
-    apply_activation_values(std::span<T>(b),
-                            l + 1 == layers_.size() ? output_ : hidden_);
+    layers_[l]->forward_values(a, b);
+    apply_activation_values(b, l + 1 == layers_.size() ? output_ : hidden_);
     a.swap(b);
   }
   if (out.size() != a.size()) {
@@ -282,10 +274,6 @@ void Mlp::forward_values_batch(const T* x, T* out, std::size_t n, Scratch& s,
   std::copy(a.begin(), a.end(), out);
 }
 
-template void Mlp::forward_values(std::span<const double>, std::span<double>,
-                                  Scratch&, DType) const;
-template void Mlp::forward_values(std::span<const float>, std::span<float>,
-                                  Scratch&, DType) const;
 template void Mlp::forward_values_batch(const double*, double*, std::size_t,
                                         Scratch&, DType) const;
 template void Mlp::forward_values_batch(const float*, float*, std::size_t,
@@ -403,29 +391,28 @@ std::array<const T*, 4> GruCell::packs(DType storage) const {
   }
 }
 
-template <typename T>
-void GruCell::forward_values(std::span<const T> h, std::span<const T> x,
-                             std::span<T> h_out, Scratch& s,
-                             DType storage) const {
+void GruCell::forward_values(std::span<const double> h,
+                             std::span<const double> x,
+                             std::span<double> h_out, Scratch& s) const {
   if (h.size() != hidden_ || x.size() != input_ || h_out.size() != hidden_) {
     throw std::invalid_argument("GruCell::forward_values: size mismatch");
   }
-  const auto [wi, wh, bi, bh] = packs<T>(storage);
+  const auto [wi, wh, bi, bh] = packs<double>(DType::kF64);
   const std::size_t H = hidden_;
   // Stacked gate pre-activations: gi = Wi x + bi, gh = Wh h + bh, rows in
   // gate order [r; z; n]. Every element is fully overwritten, so resize
   // (keeping capacity) suffices.
-  auto& gi = tier<T>(s.gi, s.gi_f);
-  auto& gh = tier<T>(s.gh, s.gh_f);
+  std::vector<double>& gi = s.gi;
+  std::vector<double>& gh = s.gh;
   gi.resize(3 * H);
   gh.resize(3 * H);
   kernels::gemv(wi, bi, x.data(), gi.data(), 3 * H, input_);
   kernels::gemv(wh, bh, h.data(), gh.data(), 3 * H, hidden_);
   for (std::size_t i = 0; i < H; ++i) {
-    const T r = sigmoid_value(gi[i] + gh[i]);
-    const T z = sigmoid_value(gi[H + i] + gh[H + i]);
-    const T n = std::tanh(gi[2 * H + i] + r * gh[2 * H + i]);
-    h_out[i] = (T(1) - z) * n + z * h[i];
+    const double r = sigmoid_value(gi[i] + gh[i]);
+    const double z = sigmoid_value(gi[H + i] + gh[H + i]);
+    const double n = std::tanh(gi[2 * H + i] + r * gh[2 * H + i]);
+    h_out[i] = (1.0 - z) * n + z * h[i];
   }
 }
 
@@ -489,14 +476,6 @@ void GruCell::forward_values_batch(const T* h, const T* x, T* h_out,
   }
 }
 
-template void GruCell::forward_values(std::span<const double>,
-                                      std::span<const double>,
-                                      std::span<double>, Scratch&,
-                                      DType) const;
-template void GruCell::forward_values(std::span<const float>,
-                                      std::span<const float>,
-                                      std::span<float>, Scratch&,
-                                      DType) const;
 template void GruCell::forward_values_batch(const double*, const double*,
                                             double*, std::size_t, Scratch&,
                                             DType) const;

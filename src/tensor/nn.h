@@ -62,12 +62,14 @@ void glorot_uniform(std::span<double> weights, std::size_t fan_in,
                     std::size_t fan_out, chainnet::support::Rng& rng);
 
 // Inference value paths (forward_values[_batch] of Linear, Mlp and
-// GruCell) build no autodiff graph. They are templates on the element type
-// T, defined for double and float. T = double reads the master f64
-// weights. T = float is the reduced-precision tier: it reads a lazily
-// converted f32 copy of the weights, bf16-rounded when `storage` is kBf16
-// (weights only; activations stay plain f32), and re-converted when a
-// parameter's node version moves. `storage` is ignored for double.
+// GruCell) build no autodiff graph. The batched paths, which the plan
+// executor runs at every width, are templates on the element type T,
+// defined for double and float. T = double reads the master f64 weights.
+// T = float is the reduced-precision tier: it reads a lazily converted f32
+// copy of the weights, bf16-rounded when `storage` is kBf16 (weights only;
+// activations stay plain f32), and re-converted when a parameter's node
+// version moves. `storage` is ignored for double. The single-vector
+// forward_values paths serve only the f64 interpreted reference executor.
 
 /// y = W x + b, with W: [out, in].
 class Linear : public Module {
@@ -78,15 +80,7 @@ class Linear : public Module {
 
   /// Inference-only evaluation into a caller buffer (out = W x + b).
   /// `out` must have out_features() elements.
-  template <typename T>
-  void forward_values(std::span<const T> x, std::span<T> out,
-                      DType storage = DType::kF64) const;
-  /// f64 overload, so std::vector<double> arguments convert (template
-  /// deduction does not look through that conversion).
-  void forward_values(std::span<const double> x,
-                      std::span<double> out) const {
-    forward_values<double>(x, out);
-  }
+  void forward_values(std::span<const double> x, std::span<double> out) const;
 
   /// Batched inference over n batch columns: `x` is a row-major
   /// [in_features x n] panel, `out` a [out_features x n] panel. Column j is
@@ -140,14 +134,8 @@ class Mlp : public Module {
   /// and use the overload below.
   void forward_values(std::span<const double> x, std::span<double> out) const;
   /// Inference-only evaluation; `out` must have output-layer width.
-  template <typename T>
-  void forward_values(std::span<const T> x, std::span<T> out,
-                      Scratch& scratch, DType storage = DType::kF64) const;
-  /// f64 overload for std::vector<double> arguments (see Linear).
   void forward_values(std::span<const double> x, std::span<double> out,
-                      Scratch& scratch) const {
-    forward_values<double>(x, out, scratch);
-  }
+                      Scratch& scratch) const;
 
   /// Batched inference over n batch columns: `x` is a row-major
   /// [input x n] panel, `out` a [output x n] panel. Column j is
@@ -199,11 +187,9 @@ class GruCell : public Module {
   /// `h_out` may not alias `h`. Dispatches the packed [3Hxin]/[3HxH]
   /// weight blocks through the blocked kernels; for double it is
   /// bit-identical to forward_values_reference (pinned by
-  /// chainnet_batch_test). Gates run in T arithmetic.
-  template <typename T>
-  void forward_values(std::span<const T> h, std::span<const T> x,
-                      std::span<T> h_out, Scratch& scratch,
-                      DType storage = DType::kF64) const;
+  /// chainnet_batch_test).
+  void forward_values(std::span<const double> h, std::span<const double> x,
+                      std::span<double> h_out, Scratch& scratch) const;
 
   /// Pre-fusion evaluation path: six independent naive GEMVs, kept as the
   /// bit-parity oracle and the bench_infer baseline.

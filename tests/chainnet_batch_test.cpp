@@ -42,17 +42,7 @@ edge::EdgeSystem medium_system(std::uint64_t seed) {
   return edge::generate_placement_problem(params, rng);
 }
 
-std::vector<edge::Placement> random_placements(const edge::EdgeSystem& system,
-                                               int count,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<edge::Placement> placements;
-  placements.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    placements.push_back(edge::random_placement(system, rng));
-  }
-  return placements;
-}
+using chainnet::testing::random_placements;
 
 /// Batched forward over `placements` must reproduce the scalar forward of
 /// every lane bit-for-bit.

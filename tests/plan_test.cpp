@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -53,17 +54,7 @@ edge::EdgeSystem medium_system(std::uint64_t seed) {
   return edge::generate_placement_problem(params, rng);
 }
 
-std::vector<edge::Placement> random_placements(const edge::EdgeSystem& system,
-                                               int count,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<edge::Placement> placements;
-  placements.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    placements.push_back(edge::random_placement(system, rng));
-  }
-  return placements;
-}
+using chainnet::testing::random_placements;
 
 std::vector<edge::PlacementGraph> build_graphs(
     const ChainNet& model, const edge::EdgeSystem& system,
@@ -143,7 +134,7 @@ TEST_P(PlanParitySweep, ReplayMatchesInterpretedOnEveryConfig) {
     const auto graphs = build_graphs(model, system, placements);
     const auto ptrs = pointers(graphs);
 
-    // Scalar executor vs the interpreted walk, per lane.
+    // Single forwards (width-1 plans) vs the interpreted walk, per lane.
     for (std::size_t b = 0; b < graphs.size(); ++b) {
       SCOPED_TRACE("lane " + std::to_string(b));
       const auto replayed = model.forward_values(graphs[b]);
@@ -277,6 +268,26 @@ TEST(PlanCache, DistinctWidthsCompileDistinctPlans) {
   model.forward_values_batch(ptrs);      // replay
   model.forward_values(graphs[1]);       // replay
   EXPECT_EQ(model.plan_cache()->stats().compiles, 2u);
+
+  // A single forward resolves the width-1 key: a cache prewarmed through
+  // lookup_or_compile(g, shape, 1), as a serving backend prewarms its
+  // widths, answers it without another compile.
+  Rng fresh_rng(3);
+  ChainNet fresh(cfg, fresh_rng);
+  const auto cache = std::make_shared<gnn::PlanCache>();
+  fresh.set_plan_cache(cache);
+  gnn::PlanShape shape;
+  shape.hidden = cfg.hidden;
+  shape.iterations = cfg.iterations;
+  shape.attention_heads = cfg.attention_heads;
+  shape.modified_outputs = cfg.modified_outputs;
+  shape.attention_aggregation = cfg.attention_aggregation;
+  shape.dtype = cfg.dtype;
+  cache->lookup_or_compile(graphs[0], shape, 1);
+  ASSERT_EQ(cache->stats().compiles, 1u);
+  fresh.forward_values(graphs[2]);
+  EXPECT_EQ(cache->stats().compiles, 1u)
+      << "a single forward must replay the prewarmed width-1 plan";
 }
 
 TEST(PlanCache, DistinctDtypesCompileDistinctPlans) {
@@ -483,16 +494,48 @@ TEST(PlanDump, ListsOpsAndScratchAccounting) {
   const auto graph = edge::build_graph(system, placements[0],
                                        edge::FeatureMode::kModified);
 
-  const auto scalar = gnn::compile_plan(graph, shape, 1);
-  const std::string text = scalar->dump();
-  EXPECT_NE(text.find("EncodeService"), std::string::npos) << text;
-  EXPECT_NE(text.find("GruChainStep"), std::string::npos) << text;
-  EXPECT_NE(text.find("Readout"), std::string::npos) << text;
+  // A single forward compiles the wave plan like every other width.
+  const auto single = gnn::compile_plan(graph, shape, 1);
+  const std::string text = single->dump();
   EXPECT_NE(text.find("scratch:"), std::string::npos) << text;
+  std::vector<std::string> names;
+  for (std::size_t at = text.find("\n["); at != std::string::npos;
+       at = text.find("\n[", at + 1)) {
+    const std::size_t begin = text.find("] ", at) + 2;
+    names.push_back(text.substr(begin, text.find_first_of(" \n", begin) - begin));
+  }
+  ASSERT_EQ(names.size(), single->ops.size()) << text;
+  const auto listed = [&names](const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  EXPECT_TRUE(listed("BatchEncodeService")) << text;
+  EXPECT_TRUE(listed("BatchChainWave")) << text;
+  EXPECT_TRUE(listed("BatchReadout")) << text;
+  for (const char* gone : {"EncodeService", "EncodeFragment", "EncodeDevices",
+                           "GruChainStep", "DevicePass", "Readout"}) {
+    EXPECT_FALSE(listed(gone)) << gone << " is not an op of any plan";
+  }
+
+  // Width changes the panels, never the schedule: widths 1 and 2 of one
+  // topology run the same op kinds on the same entities and waves, and
+  // differ only in their offsets.
+  const auto pair = gnn::compile_plan(graph, shape, 2);
+  ASSERT_EQ(pair->ops.size(), single->ops.size());
+  for (std::size_t i = 0; i < single->ops.size(); ++i) {
+    EXPECT_EQ(pair->ops[i].kind, single->ops[i].kind) << "op " << i;
+    EXPECT_EQ(pair->ops[i].a, single->ops[i].a) << "op " << i;
+  }
+  ASSERT_EQ(pair->waves.size(), single->waves.size());
+  for (std::size_t k = 0; k < single->waves.size(); ++k) {
+    ASSERT_EQ(pair->waves[k].size(), single->waves[k].size()) << "wave " << k;
+    for (std::size_t w = 0; w < single->waves[k].size(); ++w) {
+      EXPECT_EQ(pair->waves[k][w].step, single->waves[k][w].step);
+    }
+  }
+  EXPECT_GT(pair->meta.scratch_elems, single->meta.scratch_elems);
 
   const auto batched = gnn::compile_plan(graph, shape, 32);
-  EXPECT_NE(batched->dump().find("BatchChainWave"), std::string::npos);
-  EXPECT_NE(scalar->fingerprint, batched->fingerprint)
+  EXPECT_NE(single->fingerprint, batched->fingerprint)
       << "width is part of the plan key";
 }
 

@@ -11,6 +11,8 @@
 
 #include "edge/model.h"
 #include "edge/placement.h"
+#include "edge/problem.h"
+#include "support/rng.h"
 #include "tensor/tape.h"
 #include "tensor/variable.h"
 
@@ -93,6 +95,18 @@ inline edge::EdgeSystem ragged_system() {
     sys.chains.push_back(chain);
   }
   return sys;
+}
+
+/// `count` random placements of `system`, drawn in order from Rng(seed).
+inline std::vector<edge::Placement> random_placements(
+    const edge::EdgeSystem& system, int count, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<edge::Placement> placements;
+  placements.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    placements.push_back(edge::random_placement(system, rng));
+  }
+  return placements;
 }
 
 }  // namespace chainnet::testing
